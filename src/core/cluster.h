@@ -5,10 +5,10 @@
 // JobRequests (model preset, method, global batch, priority, optional
 // deadline, node demand). For every admission it carves a disjoint
 // whole-node sub-fleet (hw::CarveSubTopology), prices it through the
-// two-phase surrogate planner — SearchBestStrategy when the carve is a
-// single tier, SearchBestFleetStrategy when it spans tiers — with one
-// thread-safe SurrogateCache shared across all jobs, and runs the job to
-// completion on the service's wall clock. Completions, fail-stops, and
+// two-phase surrogate planner (SearchBestStrategy on the carve, whether
+// it is one tier or spans several) with one thread-safe SurrogateCache
+// shared across all jobs, and runs the job to completion on the
+// service's wall clock. Completions, fail-stops, and
 // preemptions reclaim capacity, which the admission loop immediately
 // re-offers to queued and degraded jobs; a node failure inside a running
 // job's fleet triggers the core/elastic survivor idiom — shrink to the
@@ -67,8 +67,7 @@ struct JobRequest {
   int min_nodes = 1;    // below this the job fails rather than shrinks
   int max_nodes = 1;    // the service never allocates more
   // Tier the nodes must come from; -1 = any single tier, and when no
-  // single tier can host min_nodes the allocation may span tiers (the
-  // fleet-planner path).
+  // single tier can host min_nodes the allocation may span tiers.
   int preferred_tier = -1;
   // Total training iterations the job must complete. Progress carries
   // across shrinks, expansions, preemptions, and requeues.
@@ -104,11 +103,10 @@ struct Allocation {
 struct JobPlan {
   bool feasible = false;
   Strategy strategy;
-  hw::StagePlacement placement;  // meaningful on the fleet path only
-  bool fleet_path = false;       // true ⇔ SearchBestFleetStrategy priced it
+  hw::StagePlacement placement;  // stage → tier of the carve
   Seconds iteration_time = 0;
   Bytes peak_memory = 0;
-  double usd_per_iteration = 0;  // fleet path only (kDollarCost pricing)
+  double usd_per_iteration = 0;  // rental + egress at the carve's rates
   // The winning schedule, job-tagged (sched::TagJob) and serialized —
   // the unit interleaved multi-job timelines attribute spans with.
   std::string schedule_text;

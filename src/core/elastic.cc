@@ -668,7 +668,8 @@ ElasticPricing PriceElasticShapes(const model::TransformerConfig& config,
     // the degraded run keeps whatever tp the healthy run had.
     bool structurally_invalid = false;
     for (const hw::LayoutIssue& issue :
-         degraded.layout().Validate(hw::SingleTierTopology(shrunk))) {
+         degraded.layout().Validate(hw::SingleTierTopology(shrunk),
+                                    hw::StagePlacement::Uniform(degraded.pp, 0))) {
       if (issue.code != hw::LayoutIssue::Code::kTensorParallelOnConsumerTier) {
         shape.note = issue.message;
         structurally_invalid = true;

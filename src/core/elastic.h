@@ -245,7 +245,7 @@ struct ElasticPricing {
 //     the extra samples it processes;
 //   - the reshard barrier entering a shape is the all-gather of the
 //     departed replica's worst ZeRO-1 shard (TrainingCostModel::
-//     CheckpointShardBytes) over the DP fabric (hw::DataParallelLink,
+//     CheckpointShardBytes) over the DP fabric (hw::ClusterTopology::LinkFor,
 //     hw::CommModel);
 //   - every shape's schedule (and the adopted mitigation's re-planned
 //     schedule) is validated against sched/validate invariants under an

@@ -9,11 +9,7 @@
 #include "common/check.h"
 #include "common/format.h"
 #include "core/deployment.h"
-#include "model/flops.h"
 #include "model/memory.h"
-#include "sched/generator.h"
-#include "sched/schedule.h"
-#include "sim/engine.h"
 
 namespace mepipe::core {
 
@@ -23,6 +19,12 @@ StageProfile PlacementSlowdowns(const hw::ClusterTopology& topology,
   profile.slowdown.reserve(placement.stage_tier.size());
   for (const int tier : placement.stage_tier) {
     profile.slowdown.push_back(topology.TierSlowdown(tier));
+  }
+  // Relative to the fastest *occupied* tier — the reference device the
+  // candidate's absolute durations are priced on.
+  const double fastest = *std::min_element(profile.slowdown.begin(), profile.slowdown.end());
+  for (double& s : profile.slowdown) {
+    s /= fastest;
   }
   return profile;
 }
@@ -51,26 +53,56 @@ std::vector<hw::StagePlacement> EnumeratePlacements(const hw::ClusterTopology& t
   return out;
 }
 
-std::string PlacedStrategy::ToString() const {
-  return strategy.ToString() + " @ " + placement.ToString();
+bool UniformSpeed(const hw::ClusterTopology& topology, const hw::StagePlacement& placement) {
+  for (const int tier : placement.stage_tier) {
+    if (topology.TierSlowdown(tier) != topology.TierSlowdown(placement.tier_of(0))) {
+      return false;
+    }
+  }
+  return true;
+}
+
+bool ReferenceSpec(const hw::ClusterTopology& topology, const hw::StagePlacement& placement,
+                   int ranks, hw::ClusterSpec* spec, std::string* error) {
+  int ref = placement.tier_of(0);
+  for (const int t : placement.stage_tier) {
+    if (topology.TierSlowdown(t) < topology.TierSlowdown(ref) ||
+        (topology.TierSlowdown(t) == topology.TierSlowdown(ref) && t < ref)) {
+      ref = t;
+    }
+  }
+  const hw::DeviceTier& tier = topology.tier(ref);
+  *spec = tier.spec();
+  if (ranks <= spec->gpus_per_node) {
+    spec->nodes = 1;
+    spec->gpus_per_node = ranks;
+    return true;
+  }
+  if (ranks % spec->gpus_per_node == 0) {
+    spec->nodes = ranks / spec->gpus_per_node;
+    return true;
+  }
+  *error = StrFormat("layout ranks %d not divisible by tier %s's %d GPUs per node", ranks,
+                     tier.name.c_str(), spec->gpus_per_node);
+  return false;
 }
 
 Bytes WanEgressBytesPerIteration(const model::TransformerConfig& config,
-                                 const PlacedStrategy& placed,
-                                 const sched::PipelineProblem& problem,
-                                 const hw::ClusterTopology& topology) {
-  if (topology.num_tiers() < 2 || placed.placement.uniform()) {
+                                 const Strategy& strategy, const hw::StagePlacement& placement,
+                                 const hw::ClusterTopology& topology, int global_batch) {
+  if (topology.num_tiers() < 2 || placement.uniform()) {
     return 0;
   }
+  const sched::PipelineProblem problem = ProblemFor(strategy, global_batch);
   // One WAN crossing moves every sample's full boundary tensor each
   // iteration, in both directions: micros per replica × dp replicas ×
   // seq_len tokens (summed across slices and cp ranks) × bytes/token.
   const Bytes per_crossing = model::BoundaryBytesPerToken(config) * config.seq_len *
-                             problem.micros * placed.strategy.dp * 2;
+                             problem.micros * strategy.dp * 2;
   Bytes total = 0;
   for (int g = 0; g + 1 < problem.num_chunks(); ++g) {
-    const int from = placed.placement.tier_of(problem.stage_of_chunk(g));
-    const int to = placed.placement.tier_of(problem.stage_of_chunk(g + 1));
+    const int from = placement.tier_of(problem.stage_of_chunk(g));
+    const int to = placement.tier_of(problem.stage_of_chunk(g + 1));
     if (from == to || !topology.LinkBetween(from, to).wan) {
       continue;
     }
@@ -80,26 +112,22 @@ Bytes WanEgressBytesPerIteration(const model::TransformerConfig& config,
 }
 
 DollarCostBreakdown PriceDollarCost(const hw::ClusterTopology& topology,
-                                    const PlacedStrategy& placed, Seconds iteration_time,
-                                    Bytes wan_egress_bytes,
-                                    double egress_usd_per_gb_override) {
+                                    const Strategy& strategy,
+                                    const hw::StagePlacement& placement,
+                                    Seconds iteration_time, Bytes wan_egress_bytes) {
   DollarCostBreakdown out;
-  out.fleet_usd_per_hour =
-      PlacementHourlyCostUsd(topology, placed.placement, placed.strategy.layout());
+  out.fleet_usd_per_hour = PlacementHourlyCostUsd(topology, placement, strategy.layout());
   out.wan_egress_bytes = wan_egress_bytes;
-  double rate = egress_usd_per_gb_override;
-  if (rate < 0) {
-    // The priciest WAN link the placement actually crosses (in practice a
-    // two-tier split crosses exactly one).
-    rate = 0;
-    for (int stage = 0; stage + 1 < placed.placement.stages(); ++stage) {
-      const int a = placed.placement.tier_of(stage);
-      const int b = placed.placement.tier_of(stage + 1);
-      if (a == b || !topology.LinkBetween(a, b).wan) {
-        continue;
-      }
-      rate = std::max(rate, topology.LinkBetween(a, b).usd_per_gb_egress);
+  // The priciest WAN link the placement actually crosses (in practice a
+  // two-tier split crosses exactly one).
+  double rate = 0;
+  for (int stage = 0; stage + 1 < placement.stages(); ++stage) {
+    const int a = placement.tier_of(stage);
+    const int b = placement.tier_of(stage + 1);
+    if (a == b || !topology.LinkBetween(a, b).wan) {
+      continue;
     }
+    rate = std::max(rate, topology.LinkBetween(a, b).usd_per_gb_egress);
   }
   out.egress_usd_per_iteration = EgressCostUsd(wan_egress_bytes, rate);
   out.rental_usd_per_iteration = out.fleet_usd_per_hour * iteration_time / 3600.0;
@@ -107,25 +135,31 @@ DollarCostBreakdown PriceDollarCost(const hw::ClusterTopology& topology,
   return out;
 }
 
+Seconds SerializedDpSync(const TrainingCostModel& costs, const hw::ClusterTopology& topology,
+                         const hw::StagePlacement& placement, const RebalancePlan& plan) {
+  const hw::CommModel comm(topology, placement);
+  const hw::ParallelLayout layout = costs.strategy().layout();
+  Seconds worst = 0;
+  for (int stage = 0; stage < costs.problem().stages; ++stage) {
+    const Bytes bytes = static_cast<Bytes>(
+        std::llround(static_cast<double>(costs.StageParamBytes(stage)) *
+                     plan.stage_unit_ratio(costs.problem(), stage)));
+    worst = std::max(worst, comm.DpGradientSyncAtStage(bytes, layout, stage));
+  }
+  return worst;
+}
+
 TierScaledCostModel::TierScaledCostModel(const sim::CostModel& base,
                                          const TrainingCostModel& priced,
                                          const hw::ClusterTopology& topology,
-                                         const PlacedStrategy& placed,
+                                         const hw::StagePlacement& placement,
                                          const RebalancePlan& plan)
     : sim::WrappingCostModel(base),
       priced_(priced),
-      comm_(topology, placed.placement),
-      layout_(placed.strategy.layout()),
+      comm_(topology, placement),
+      layout_(priced.strategy().layout()),
       problem_(priced.problem()) {
-  // Dilation is relative to the fastest *occupied* tier — the reference
-  // device the candidate's absolute durations were priced on.
-  StageProfile profile = PlacementSlowdowns(topology, placed.placement);
-  const double fastest =
-      *std::min_element(profile.slowdown.begin(), profile.slowdown.end());
-  for (double& s : profile.slowdown) {
-    s /= fastest;
-  }
-  stage_slowdown_ = std::move(profile.slowdown);
+  stage_slowdown_ = PlacementSlowdowns(topology, placement).slowdown;
   chunk_scale_.resize(static_cast<std::size_t>(problem_.num_chunks()));
   for (int g = 0; g < problem_.num_chunks(); ++g) {
     chunk_scale_[static_cast<std::size_t>(g)] = plan.unit_ratio(g);
@@ -168,412 +202,6 @@ Seconds TierScaledCostModel::DpSyncTime(const sched::OpId& bucket) const {
   const Bytes bytes = static_cast<Bytes>(
       std::llround(static_cast<double>(priced_.ChunkParamBytes(bucket.chunk)) * scale));
   return comm_.DpGradientSyncAtStage(bytes, layout_, problem_.stage_of_chunk(bucket.chunk));
-}
-
-namespace {
-
-// A placed candidate, ready to price: the homogeneous build on the
-// reference tier's sub-cluster, the (reference-relative) slowdown
-// profile, the adopted layer re-partition, and per-stage scale factors
-// for static memory.
-struct PlacedBuild {
-  CandidateBuild build;
-  int ref_tier = 0;
-  StageProfile profile;  // relative to ref_tier, each >= 1
-  RebalancePlan plan;    // default (no-op) when compute is uniform
-  std::vector<double> static_scale;
-};
-
-// The reference tier's spec resized to exactly `ranks` devices, so the
-// homogeneous BuildCandidate machinery applies unchanged.
-bool ReferenceSpec(const hw::DeviceTier& tier, int ranks, hw::ClusterSpec* spec,
-                   std::string* error) {
-  *spec = tier.spec();
-  if (ranks <= spec->gpus_per_node) {
-    spec->nodes = 1;
-    spec->gpus_per_node = ranks;
-    return true;
-  }
-  if (ranks % spec->gpus_per_node == 0) {
-    spec->nodes = ranks / spec->gpus_per_node;
-    return true;
-  }
-  *error = StrFormat("layout ranks %d not divisible by tier %s's %d GPUs per node", ranks,
-                     tier.name.c_str(), spec->gpus_per_node);
-  return false;
-}
-
-PlacedBuild BuildPlaced(const model::TransformerConfig& config, const PlacedStrategy& placed,
-                        const hw::ClusterTopology& topology, int global_batch,
-                        const IterationOptions& options) {
-  PlacedBuild pb;
-  pb.build.strategy = placed.strategy;
-  const hw::ParallelLayout layout = placed.strategy.layout();
-  const std::vector<hw::LayoutIssue> issues = layout.Validate(topology, placed.placement);
-  if (!issues.empty()) {
-    pb.build.note = issues.front().message;
-    return pb;
-  }
-
-  // Reference tier: fastest among the tiers the placement occupies.
-  pb.ref_tier = placed.placement.tier_of(0);
-  for (const int t : placed.placement.stage_tier) {
-    if (topology.TierSlowdown(t) < topology.TierSlowdown(pb.ref_tier) ||
-        (topology.TierSlowdown(t) == topology.TierSlowdown(pb.ref_tier) && t < pb.ref_tier)) {
-      pb.ref_tier = t;
-    }
-  }
-  hw::ClusterSpec ref_spec;
-  std::string error;
-  if (!ReferenceSpec(topology.tier(pb.ref_tier), layout.ranks(), &ref_spec, &error)) {
-    pb.build.note = std::move(error);
-    return pb;
-  }
-  pb.build = BuildCandidate(config, placed.strategy, ref_spec, global_batch, options);
-  if (!pb.build.feasible) {
-    return pb;
-  }
-  const sched::PipelineProblem& problem = pb.build.problem;
-  pb.static_scale.assign(static_cast<std::size_t>(problem.stages), 1.0);
-
-  pb.profile = PlacementSlowdowns(topology, placed.placement);
-  const double fastest =
-      *std::min_element(pb.profile.slowdown.begin(), pb.profile.slowdown.end());
-  bool hetero_compute = false;
-  for (double& s : pb.profile.slowdown) {
-    s /= fastest;
-    hetero_compute = hetero_compute || s != 1.0;
-  }
-
-  if (hetero_compute) {
-    // Shed layers off the slow tiers and regenerate the program order —
-    // the MitigateStragglers idiom, applied to a *static* speed profile.
-    RebalanceOptions rebalance;
-    rebalance.repartition_layers = true;
-    rebalance.rebalance_slices = false;
-    rebalance.retune_caps = true;
-    rebalance.units_per_chunk =
-        static_cast<int>(config.partition_units()) / problem.num_chunks();
-    rebalance.min_units_per_chunk = 1;
-    const int floor_cap = problem.virtual_chunks * problem.slices;
-    rebalance.base_caps.resize(static_cast<std::size_t>(problem.stages));
-    for (int i = 0; i < problem.stages; ++i) {
-      rebalance.base_caps[static_cast<std::size_t>(i)] =
-          std::max(floor_cap, sched::PeakRetainedForwards(pb.build.schedule, i));
-    }
-    pb.plan = Rebalance(pb.profile, problem, rebalance);
-    if (pb.plan.any_change()) {
-      sched::GeneratorOptions generator;
-      generator.inflight_cap =
-          pb.plan.new_caps.empty() ? rebalance.base_caps : pb.plan.new_caps;
-      generator.backward_first = true;
-      generator.child_count_backward_priority = true;
-      generator.wgrad = pb.build.schedule.deferred_wgrad ? sched::WgradPolicy::kDeferred
-                                                         : sched::WgradPolicy::kLowestPriority;
-      generator.b_time = problem.split_backward ? 1.0 : 2.0;
-      generator.stage_time_scale.resize(static_cast<std::size_t>(problem.stages));
-      for (int i = 0; i < problem.stages; ++i) {
-        generator.stage_time_scale[static_cast<std::size_t>(i)] =
-            pb.profile.slowdown[static_cast<std::size_t>(i)] *
-            pb.plan.stage_unit_ratio(problem, i);
-        pb.static_scale[static_cast<std::size_t>(i)] = pb.plan.stage_unit_ratio(problem, i);
-      }
-      pb.build.schedule =
-          sched::GenerateCapped(problem, generator, pb.build.schedule.method + "+placed");
-    }
-  }
-
-  // Activation budgets against the *hosting* tier's memory, with static
-  // memory scaled by the adopted layer share. The single-tier uniform
-  // case recomputes exactly what BuildCandidate produced.
-  if (problem.split_backward) {
-    const TrainingCostModel& costs = *pb.build.costs;
-    for (int stage = 0; stage < problem.stages; ++stage) {
-      const Bytes usable =
-          topology.tier(placed.placement.tier_of(stage)).gpu.usable_memory();
-      const Bytes stage_static = static_cast<Bytes>(
-          std::llround(static_cast<double>(costs.StaticMemory(stage)) *
-                       pb.static_scale[static_cast<std::size_t>(stage)]));
-      pb.build.activation_budget[static_cast<std::size_t>(stage)] =
-          std::max<Bytes>(0, usable - stage_static);
-    }
-  }
-  return pb;
-}
-
-// Worst-stage serialized DP sync, each stage priced on its hosting
-// tier's fabric with its adopted parameter share. Reduces to
-// TrainingCostModel::DpSyncTime() on a single tier with no re-partition.
-Seconds SerializedDpSync(const TrainingCostModel& costs, const hw::CommModel& comm,
-                         const hw::ParallelLayout& layout, const PlacedBuild& pb) {
-  Seconds worst = 0;
-  for (int stage = 0; stage < pb.build.problem.stages; ++stage) {
-    const Bytes bytes = static_cast<Bytes>(
-        std::llround(static_cast<double>(costs.StageParamBytes(stage)) *
-                     pb.static_scale[static_cast<std::size_t>(stage)]));
-    worst = std::max(worst, comm.DpGradientSyncAtStage(bytes, layout, stage));
-  }
-  return worst;
-}
-
-// Rank-weighted mean peak FLOPS of the occupied devices (the MFU
-// denominator). Exact tier value for uniform placements.
-double MeanPeakFlops(const hw::ClusterTopology& topology, const PlacedStrategy& placed) {
-  if (placed.placement.uniform()) {
-    return topology.tier(placed.placement.tier_of(0)).gpu.peak_flops;
-  }
-  const hw::ParallelLayout layout = placed.strategy.layout();
-  const double group = layout.dp * layout.cp * layout.tp;
-  double total = 0;
-  for (int stage = 0; stage < placed.placement.stages(); ++stage) {
-    total += group * topology.tier(placed.placement.tier_of(stage)).gpu.peak_flops;
-  }
-  return total / layout.ranks();
-}
-
-std::string OomNote(const hw::ClusterTopology& topology, const PlacedStrategy& placed,
-                    int stage, Bytes peak, Bytes stage_total) {
-  const hw::DeviceTier& tier = topology.tier(placed.placement.tier_of(stage));
-  if (topology.num_tiers() < 2) {
-    // Match SimulateIteration's wording so the one-tier special case is
-    // bit-identical, notes included.
-    return StrFormat("OOM: peak %s > usable %s", FormatBytes(peak).c_str(),
-                     FormatBytes(tier.gpu.usable_memory()).c_str());
-  }
-  return StrFormat("OOM on stage %d (%s): peak %s > usable %s", stage, tier.name.c_str(),
-                   FormatBytes(stage_total).c_str(),
-                   FormatBytes(tier.gpu.usable_memory()).c_str());
-}
-
-}  // namespace
-
-PlacedIterationResult SimulatePlacedIteration(const model::TransformerConfig& config,
-                                              const PlacedStrategy& placed,
-                                              const hw::ClusterTopology& topology,
-                                              int global_batch,
-                                              const IterationOptions& options) {
-  PlacedIterationResult out;
-  out.placed = placed;
-  out.result.strategy = placed.strategy;
-  PlacedBuild pb = BuildPlaced(config, placed, topology, global_batch, options);
-  if (!pb.build.feasible) {
-    out.result.note = std::move(pb.build.note);
-    return out;
-  }
-  const sched::PipelineProblem& problem = pb.build.problem;
-  const hw::ParallelLayout layout = placed.strategy.layout();
-  const TrainingCostModel& costs = *pb.build.costs;
-
-  out.slowdown = pb.profile.slowdown;
-  const int units_per_chunk =
-      static_cast<int>(config.partition_units()) / problem.num_chunks();
-  out.stage_units.assign(static_cast<std::size_t>(problem.stages), 0);
-  for (int g = 0; g < problem.num_chunks(); ++g) {
-    out.stage_units[static_cast<std::size_t>(problem.stage_of_chunk(g))] +=
-        pb.plan.new_units.empty() ? units_per_chunk
-                                  : pb.plan.new_units[static_cast<std::size_t>(g)];
-  }
-
-  sim::CostModelStack stack(costs);
-  if (pb.plan.any_change()) {
-    stack.Wrap<RebalancedCostModel>(problem, pb.plan);
-  }
-  if (topology.num_tiers() > 1) {
-    stack.Wrap<TierScaledCostModel>(costs, topology, placed, pb.plan);
-  }
-
-  sim::EngineOptions engine;
-  engine.wgrad_mode = pb.build.wgrad_mode;
-  engine.activation_budget = pb.build.activation_budget;
-  engine.dp_overlap = options.dp_overlap;
-  engine.dp_link_shared = options.dp_overlap && topology.FabricShares(layout).Shares(
-                                                    hw::Dim::kData, hw::Dim::kPipeline);
-  sim::SimResult sim = Simulate(pb.build.schedule, stack.model(), engine);
-
-  IterationResult& result = out.result;
-  result.micros = pb.build.micros;
-  result.pipeline_time = sim.makespan;
-  result.mitigation.unmitigated_pipeline_time = sim.makespan;
-  const hw::CommModel comm(topology, placed.placement);
-  result.dp.overlapped = options.dp_overlap;
-  if (options.dp_overlap) {
-    result.dp.serialized = sim.dp.serialized;
-    result.dp.hidden = sim.dp.hidden;
-    result.dp.exposed = sim.dp.exposed;
-  } else {
-    result.dp.serialized = SerializedDpSync(costs, comm, layout, pb);
-    result.dp.exposed = result.dp.serialized;
-  }
-  result.dp_sync_time = result.dp.exposed;
-  result.iteration_time = sim.makespan + result.dp_sync_time + options.optimizer_step;
-  result.bubble_ratio = sim.bubble_ratio;
-  result.peak_activation = sim.peak_activation;
-  result.checkpoint_shard = costs.CheckpointShardBytes();
-  result.checkpoint_state = costs.CheckpointStateBytes();
-
-  Bytes peak = 0;
-  Bytes static_peak = 0;
-  int oom_stage = -1;
-  Bytes oom_total = 0;
-  for (int stage = 0; stage < problem.stages; ++stage) {
-    const Bytes stage_static = static_cast<Bytes>(
-        std::llround(static_cast<double>(costs.StaticMemory(stage)) *
-                     pb.static_scale[static_cast<std::size_t>(stage)]));
-    static_peak = std::max(static_peak, stage_static);
-    const Bytes total =
-        stage_static + sim.stages[static_cast<std::size_t>(stage)].peak_activation;
-    peak = std::max(peak, total);
-    if (oom_stage < 0 &&
-        total > topology.tier(placed.placement.tier_of(stage)).gpu.usable_memory()) {
-      oom_stage = stage;
-      oom_total = total;
-    }
-  }
-  result.static_memory = static_peak;
-  result.peak_memory = peak;
-  if (oom_stage >= 0) {
-    result.feasible = false;
-    result.note = OomNote(topology, placed, oom_stage, peak, oom_total);
-  } else {
-    result.feasible = true;
-    result.note = "ok";
-  }
-
-  const std::int64_t tokens = static_cast<std::int64_t>(global_batch) * config.seq_len;
-  result.per_gpu_flops = model::TrainingFlops(config, tokens) /
-                         (result.iteration_time * static_cast<double>(layout.ranks()));
-  result.mfu = result.per_gpu_flops / MeanPeakFlops(topology, placed);
-
-  if (options.keep_timeline) {
-    result.sim = std::move(sim);
-  } else {
-    sim.timeline.clear();
-    result.sim = std::move(sim);
-  }
-  if (options.keep_schedule) {
-    result.schedule = pb.build.schedule;
-    result.activation_budget = engine.activation_budget;
-  }
-
-  out.dollars = PriceDollarCost(
-      topology, placed, result.iteration_time,
-      WanEgressBytesPerIteration(config, placed, problem, topology));
-  return out;
-}
-
-PlacedSurrogateResult SurrogatePricePlaced(const model::TransformerConfig& config,
-                                           const PlacedStrategy& placed,
-                                           const hw::ClusterTopology& topology,
-                                           int global_batch,
-                                           const SurrogateOptions& options) {
-  PlacedSurrogateResult out;
-  out.placed = placed;
-  // Problem shape for egress accounting, derivable without a build (and
-  // therefore also on a cache hit).
-  sched::PipelineProblem shape;
-  shape.stages = placed.strategy.pp;
-  shape.virtual_chunks = placed.strategy.vp;
-  shape.slices = placed.strategy.spp;
-  shape.micros = global_batch / std::max(1, placed.strategy.dp);
-  shape.split_backward = MethodSplitsBackward(placed.strategy.method);
-  if (placed.strategy.method == Method::kZbv || placed.strategy.method == Method::kZbvCapped ||
-      placed.strategy.method == Method::kHanayo) {
-    shape.placement = sched::ChunkPlacement::kVShape;
-  }
-  const Bytes egress = WanEgressBytesPerIteration(config, placed, shape, topology);
-
-  SurrogateKey key;
-  if (options.cache != nullptr) {
-    key.method = placed.strategy.method;
-    key.pp = placed.strategy.pp;
-    key.dp = placed.strategy.dp;
-    key.cp = placed.strategy.cp;
-    key.tp = placed.strategy.tp;
-    key.vp = placed.strategy.vp;
-    key.spp = placed.strategy.spp;
-    key.recompute = placed.strategy.recompute;
-    key.global_batch = global_batch;
-    key.fingerprint = TopologyFingerprint(config, topology, options.iteration);
-    key.placement = placed.placement.Hash();
-    if (auto hit = options.cache->Lookup(key)) {
-      hit->cache_hit = true;
-      out.result = *hit;
-      out.dollars = PriceDollarCost(topology, placed, out.result.iteration_time, egress);
-      return out;
-    }
-  }
-
-  PlacedBuild pb = BuildPlaced(config, placed, topology, global_batch, options.iteration);
-  SurrogateResult& result = out.result;
-  result.strategy = placed.strategy;
-  if (!pb.build.feasible) {
-    result.note = std::move(pb.build.note);
-  } else {
-    const sched::PipelineProblem& problem = pb.build.problem;
-    const hw::ParallelLayout layout = placed.strategy.layout();
-    const TrainingCostModel& costs = *pb.build.costs;
-
-    sim::CostModelStack stack(costs);
-    if (pb.plan.any_change()) {
-      stack.Wrap<RebalancedCostModel>(problem, pb.plan);
-    }
-    if (topology.num_tiers() > 1) {
-      stack.Wrap<TierScaledCostModel>(costs, topology, placed, pb.plan);
-    }
-
-    TableOptions table;
-    table.wgrad_mode = pb.build.wgrad_mode;
-    table.activation_budget = pb.build.activation_budget;
-    table.dp_overlap = options.iteration.dp_overlap;
-    const TablePrice price = PriceScheduleTable(pb.build.schedule, stack.model(), table);
-
-    result.micros = pb.build.micros;
-    result.pipeline_time = price.makespan;
-    if (options.iteration.dp_overlap) {
-      result.dp_sync_time = price.dp_exposed;
-    } else {
-      const hw::CommModel comm(topology, placed.placement);
-      result.dp_sync_time = SerializedDpSync(costs, comm, layout, pb);
-    }
-    result.iteration_time =
-        price.makespan + result.dp_sync_time + options.iteration.optimizer_step;
-    result.bubble_ratio = price.bubble_ratio;
-    result.peak_activation = price.peak_activation;
-    result.checkpoint_shard = costs.CheckpointShardBytes();
-
-    Bytes peak = 0;
-    Bytes static_peak = 0;
-    int oom_stage = -1;
-    Bytes oom_total = 0;
-    for (int stage = 0; stage < problem.stages; ++stage) {
-      const Bytes stage_static = static_cast<Bytes>(
-          std::llround(static_cast<double>(costs.StaticMemory(stage)) *
-                       pb.static_scale[static_cast<std::size_t>(stage)]));
-      static_peak = std::max(static_peak, stage_static);
-      const Bytes total =
-          stage_static + price.stage_peak_activation[static_cast<std::size_t>(stage)];
-      peak = std::max(peak, total);
-      if (oom_stage < 0 &&
-          total > topology.tier(placed.placement.tier_of(stage)).gpu.usable_memory()) {
-        oom_stage = stage;
-        oom_total = total;
-      }
-    }
-    result.static_memory = static_peak;
-    result.peak_memory = peak;
-    if (oom_stage >= 0) {
-      result.feasible = false;
-      result.note = OomNote(topology, placed, oom_stage, peak, oom_total);
-    } else {
-      result.feasible = true;
-      result.note = "ok";
-    }
-  }
-  if (options.cache != nullptr) {
-    options.cache->Insert(key, result);
-  }
-  out.dollars = PriceDollarCost(topology, placed, result.iteration_time, egress);
-  return out;
 }
 
 }  // namespace mepipe::core

@@ -1,12 +1,11 @@
-// Heterogeneous-fleet planning (ROADMAP item 4): stage→tier placement
-// over a hw::ClusterTopology, dollar-cost pricing, and the cost-model
-// wrapper that re-prices one candidate for a concrete placement.
+// Placement pricing over a hw::ClusterTopology: what it costs to run a
+// pipeline whose stages sit on concrete device tiers.
 //
-// The pipeline of a placed candidate is built on a *reference
-// sub-cluster* of the fastest tier sized to the layout's rank count, so
-// the homogeneous machinery (BuildCandidate, TrainingCostModel, the
-// schedule generators) applies unchanged. Heterogeneity is then layered
-// on top:
+// Every candidate is built on a *reference sub-cluster* — the fastest
+// tier the placement occupies, sized to the layout's rank count
+// (ReferenceSpec) — so the one-tier machinery (BuildCandidate,
+// TrainingCostModel, the schedule generators) applies unchanged.
+// core/iteration layers the placement on top with the pieces here:
 //  - Static tier speed ratios become a per-stage StageProfile
 //    (PlacementSlowdowns) fed through core/rebalance's exact
 //    PartitionUnitsBySpeed, so slow tiers host fewer layers and the
@@ -19,29 +18,33 @@
 //    boundary transfers through hw::CommModel::PipelineP2pAcross (WAN
 //    when the boundary crosses tiers), and re-prices DP gradient
 //    buckets on the hosting tier's fabric.
-//  - Memory feasibility is checked per stage against the *hosting*
-//    tier's usable memory, with static memory scaled by the adopted
-//    layer share.
-// A single-tier topology with a uniform placement takes none of these
-// paths and reproduces SimulateIteration / SurrogatePrice bit for bit.
+//  - Dollars: occupied ranks × tier rental rate × iteration time, plus
+//    WAN egress for every chunk boundary that crosses regions.
+// On a one-tier topology none of the re-pricing applies: the reference
+// sub-cluster is the tier itself.
 #ifndef MEPIPE_CORE_FLEET_H_
 #define MEPIPE_CORE_FLEET_H_
 
 #include <string>
 #include <vector>
 
-#include "core/iteration.h"
 #include "core/rebalance.h"
-#include "core/surrogate.h"
+#include "core/training_cost.h"
 #include "hw/cluster.h"
 #include "hw/comm_model.h"
 
 namespace mepipe::core {
 
-// Per-stage compute slowdown implied by the placement: the fastest
-// tier's sustained matmul rate over the hosting tier's (each >= 1).
+// Per-stage compute slowdown implied by the placement, relative to the
+// fastest tier it occupies: that tier's sustained matmul rate over the
+// hosting tier's (each >= 1; exactly 1 on the fastest occupied tier).
 StageProfile PlacementSlowdowns(const hw::ClusterTopology& topology,
                                 const hw::StagePlacement& placement);
+
+// Whether every tier the placement occupies computes at the same rate
+// (always true on one tier). Only such placements keep the even layer
+// split, which per-stage bounds and straggler rebalancing rely on.
+bool UniformSpeed(const hw::ClusterTopology& topology, const hw::StagePlacement& placement);
 
 // Deterministic placement candidates for a pp-stage pipeline: every
 // uniform single-tier placement (tier index ascending), then every
@@ -51,13 +54,12 @@ StageProfile PlacementSlowdowns(const hw::ClusterTopology& topology,
 std::vector<hw::StagePlacement> EnumeratePlacements(const hw::ClusterTopology& topology,
                                                     int pp);
 
-// A strategy pinned to a concrete stage→tier assignment.
-struct PlacedStrategy {
-  Strategy strategy;
-  hw::StagePlacement placement;
-
-  std::string ToString() const;  // "svpp pp8 dp2 ... @ t0x4|t1x4"
-};
+// The reference sub-cluster of a placed layout of `ranks` devices: the
+// fastest occupied tier (lowest index on ties), resized to exactly
+// `ranks` devices. False, with `error` set, when `ranks` does not map
+// onto whole nodes of that tier.
+bool ReferenceSpec(const hw::ClusterTopology& topology, const hw::StagePlacement& placement,
+                   int ranks, hw::ClusterSpec* spec, std::string* error);
 
 // The kDollarCost objective's decomposition (core/deployment pairs this
 // with its acquisition/electricity parity math).
@@ -70,26 +72,37 @@ struct DollarCostBreakdown {
 };
 
 // Activation/gradient traffic leaving a region per iteration: for each
-// chunk boundary whose two stages sit on tiers joined by a WAN link,
-// global_batch samples × seq_len tokens × boundary bytes/token, in each
-// direction (forward activations + backward gradients). TP replication
-// of the boundary tensor is not billed (tp=1 on consumer fleets).
+// chunk boundary of ProblemFor(strategy, global_batch) whose two stages
+// sit on tiers joined by a WAN link, global_batch samples × seq_len
+// tokens × boundary bytes/token, in each direction (forward activations
+// + backward gradients). TP replication of the boundary tensor is not
+// billed (tp=1 on consumer fleets).
 Bytes WanEgressBytesPerIteration(const model::TransformerConfig& config,
-                                 const PlacedStrategy& placed,
-                                 const sched::PipelineProblem& problem,
-                                 const hw::ClusterTopology& topology);
+                                 const Strategy& strategy, const hw::StagePlacement& placement,
+                                 const hw::ClusterTopology& topology, int global_batch);
 
+// Rental for the ranks `strategy` occupies under `placement` over
+// `iteration_time`, plus `wan_egress_bytes` billed at the priciest WAN
+// link the placement crosses.
 DollarCostBreakdown PriceDollarCost(const hw::ClusterTopology& topology,
-                                    const PlacedStrategy& placed, Seconds iteration_time,
-                                    Bytes wan_egress_bytes,
-                                    double egress_usd_per_gb_override = -1.0);
+                                    const Strategy& strategy,
+                                    const hw::StagePlacement& placement,
+                                    Seconds iteration_time, Bytes wan_egress_bytes);
 
-// Re-prices a homogeneous candidate (built on the fastest tier's
-// reference sub-cluster) for a concrete placement. Wrap it *above*
-// RebalancedCostModel so compute dilation applies to the re-partitioned
-// layer shares:
+// Worst-stage DP gradient/optimizer sync as one monolithic collective
+// per stage (the serialized-after-flush baseline), each stage priced on
+// its hosting tier's fabric with its parameter share under `plan` (a
+// default plan keeps the even split). Bucketing pays the per-collective
+// latency once per chunk, so a stage's summed bucket costs
+// (TrainingCostModel::DpSyncTime(bucket)) are >= its share of this.
+Seconds SerializedDpSync(const TrainingCostModel& costs, const hw::ClusterTopology& topology,
+                         const hw::StagePlacement& placement, const RebalancePlan& plan);
+
+// Re-prices a candidate (built on the reference sub-cluster) for a
+// concrete placement. Wrap it *above* RebalancedCostModel so compute
+// dilation applies to the re-partitioned layer shares:
 //   stack.Wrap<RebalancedCostModel>(problem, plan)
-//        .Wrap<TierScaledCostModel>(priced, topology, placed, plan);
+//        .Wrap<TierScaledCostModel>(priced, topology, placement, plan);
 class TierScaledCostModel : public sim::WrappingCostModel {
  public:
   // `priced` is the base TrainingCostModel (for boundary/param volumes —
@@ -97,7 +110,7 @@ class TierScaledCostModel : public sim::WrappingCostModel {
   // per-chunk layer-share ratios (pass a default RebalancePlan for the
   // un-repartitioned case). Holds `base` and `priced` by reference.
   TierScaledCostModel(const sim::CostModel& base, const TrainingCostModel& priced,
-                      const hw::ClusterTopology& topology, const PlacedStrategy& placed,
+                      const hw::ClusterTopology& topology, const hw::StagePlacement& placement,
                       const RebalancePlan& plan);
 
   Seconds ComputeTime(const sched::OpId& op) const override;
@@ -112,41 +125,6 @@ class TierScaledCostModel : public sim::WrappingCostModel {
   std::vector<double> stage_slowdown_;  // per stage
   std::vector<double> chunk_scale_;     // per chunk layer-share ratio
 };
-
-// One placed candidate, fully priced. `result` carries the engine- (or
-// table-) grade timing/memory verdict; `dollars` the rental + egress
-// economics the kDollarCost objective ranks on.
-struct PlacedIterationResult {
-  PlacedStrategy placed;
-  IterationResult result;
-  DollarCostBreakdown dollars;
-  std::vector<double> slowdown;  // per stage, from PlacementSlowdowns
-  std::vector<int> stage_units;  // adopted per-stage layer split
-};
-
-struct PlacedSurrogateResult {
-  PlacedStrategy placed;
-  SurrogateResult result;
-  DollarCostBreakdown dollars;
-};
-
-// DES-grade pricing of a placed candidate. Clean-run only: fault plans,
-// noise, and straggler rebalancing in `options` are ignored (static
-// heterogeneity is already folded into the candidate itself).
-PlacedIterationResult SimulatePlacedIteration(const model::TransformerConfig& config,
-                                              const PlacedStrategy& placed,
-                                              const hw::ClusterTopology& topology,
-                                              int global_batch,
-                                              const IterationOptions& options = {});
-
-// Analytic counterpart (tabular critical-path pass), cacheable through
-// SurrogateOptions::cache — keys carry TopologyFingerprint and the
-// placement hash so fleet prices never collide with homogeneous ones.
-PlacedSurrogateResult SurrogatePricePlaced(const model::TransformerConfig& config,
-                                           const PlacedStrategy& placed,
-                                           const hw::ClusterTopology& topology,
-                                           int global_batch,
-                                           const SurrogateOptions& options = {});
 
 }  // namespace mepipe::core
 

@@ -11,20 +11,12 @@
 #include "model/flops.h"
 #include "model/slicing.h"
 #include "sched/baselines.h"
+#include "sched/generator.h"
 #include "sched/synth.h"
 #include "sched/zbv.h"
 #include "sim/noise.h"
 
 namespace mepipe::core {
-
-bool MethodSplitsBackward(Method method) {
-  return method == Method::kZb1p || method == Method::kZbv || method == Method::kZbvCapped ||
-         method == Method::kSvpp || method == Method::kSynth;
-}
-
-bool MethodUsesSlices(Method method) {
-  return method == Method::kSvpp || method == Method::kTeraPipe;
-}
 
 namespace {
 
@@ -36,12 +28,36 @@ CandidateBuild InfeasibleBuild(const Strategy& strategy, std::string note) {
   return build;
 }
 
-IterationResult Infeasible(const Strategy& strategy, std::string note) {
+IterationResult Infeasible(const Strategy& strategy, const hw::StagePlacement& placement,
+                           std::string note) {
   IterationResult result;
   result.strategy = strategy;
+  result.placement = placement;
   result.feasible = false;
   result.note = std::move(note);
   return result;
+}
+
+// One stage's static memory under the layer split `plan` (the even
+// split for a default plan).
+Bytes StageStaticMemory(const TrainingCostModel& costs, const RebalancePlan& plan, int stage) {
+  return static_cast<Bytes>(std::llround(static_cast<double>(costs.StaticMemory(stage)) *
+                                         plan.stage_unit_ratio(costs.problem(), stage)));
+}
+
+// Rank-weighted mean peak FLOPS of the occupied devices (the MFU
+// denominator). Exact tier value for uniform placements.
+double MeanPeakFlops(const hw::ClusterTopology& topology, const hw::StagePlacement& placement,
+                     const hw::ParallelLayout& layout) {
+  if (placement.uniform()) {
+    return topology.tier(placement.tier_of(0)).gpu.peak_flops;
+  }
+  const double group = layout.dp * layout.cp * layout.tp;
+  double total = 0;
+  for (int stage = 0; stage < placement.stages(); ++stage) {
+    total += group * topology.tier(placement.tier_of(stage)).gpu.peak_flops;
+  }
+  return total / layout.ranks();
 }
 
 }  // namespace
@@ -106,17 +122,8 @@ CandidateBuild BuildCandidate(const model::TransformerConfig& config,
   CandidateBuild build;
   build.strategy = strategy;
   build.micros = micros;
-  sched::PipelineProblem& problem = build.problem;
-  problem.stages = strategy.pp;
-  problem.virtual_chunks = strategy.vp;
-  problem.slices = strategy.spp;
-  problem.micros = micros;
-  problem.split_backward = MethodSplitsBackward(strategy.method);
-  if (strategy.method == Method::kZbv || strategy.method == Method::kZbvCapped ||
-      strategy.method == Method::kHanayo ||
-      (strategy.method == Method::kSynth && strategy.vp == 2)) {
-    problem.placement = sched::ChunkPlacement::kVShape;
-  }
+  build.problem = ProblemFor(strategy, global_batch);
+  const sched::PipelineProblem& problem = build.problem;
 
   build.costs.emplace(config, strategy, cluster, problem, options.cost);
   const TrainingCostModel& costs = *build.costs;
@@ -261,14 +268,156 @@ CandidateBuild BuildCandidate(const model::TransformerConfig& config,
   return build;
 }
 
-IterationResult SimulateIteration(const model::TransformerConfig& config,
-                                  const Strategy& strategy, const hw::ClusterSpec& cluster,
-                                  int global_batch, const IterationOptions& options) {
-  CandidateBuild build = BuildCandidate(config, strategy, cluster, global_batch, options);
-  if (!build.feasible) {
-    return Infeasible(strategy, std::move(build.note));
+CandidateBuild BuildCandidate(const model::TransformerConfig& config,
+                              const Strategy& strategy, const hw::ClusterTopology& topology,
+                              const hw::StagePlacement& placement, int global_batch,
+                              const IterationOptions& options) {
+  const hw::ParallelLayout layout = strategy.layout();
+  for (const hw::LayoutIssue& issue : layout.Validate(topology, placement)) {
+    // tp on a consumer tier narrows the search space; the engine prices it.
+    if (issue.code != hw::LayoutIssue::Code::kTensorParallelOnConsumerTier) {
+      return InfeasibleBuild(strategy, issue.message);
+    }
   }
-  const int world = cluster.world_size();
+  hw::ClusterSpec reference;
+  std::string error;
+  if (!ReferenceSpec(topology, placement, layout.ranks(), &reference, &error)) {
+    return InfeasibleBuild(strategy, std::move(error));
+  }
+  CandidateBuild build = BuildCandidate(config, strategy, reference, global_batch, options);
+  build.placement = placement;
+  if (!build.feasible) {
+    return build;
+  }
+  const sched::PipelineProblem& problem = build.problem;
+  const TrainingCostModel& costs = *build.costs;
+
+  if (!UniformSpeed(topology, placement)) {
+    // Shed layers off the slow tiers and regenerate the program order —
+    // the MitigateStragglers idiom, applied to a *static* speed profile
+    // relative to the fastest occupied tier.
+    const StageProfile profile = PlacementSlowdowns(topology, placement);
+    RebalanceOptions rebalance;
+    rebalance.repartition_layers = true;
+    rebalance.rebalance_slices = false;
+    rebalance.retune_caps = true;
+    rebalance.units_per_chunk = static_cast<int>(config.partition_units()) / problem.num_chunks();
+    rebalance.min_units_per_chunk = 1;
+    const int floor_cap = problem.virtual_chunks * problem.slices;
+    rebalance.base_caps.resize(static_cast<std::size_t>(problem.stages));
+    for (int i = 0; i < problem.stages; ++i) {
+      rebalance.base_caps[static_cast<std::size_t>(i)] =
+          std::max(floor_cap, sched::PeakRetainedForwards(build.schedule, i));
+    }
+    build.plan = Rebalance(profile, problem, rebalance);
+    if (build.plan.any_change()) {
+      sched::GeneratorOptions generator;
+      generator.inflight_cap = build.plan.new_caps.empty() ? rebalance.base_caps
+                                                           : build.plan.new_caps;
+      generator.backward_first = true;
+      generator.child_count_backward_priority = true;
+      generator.wgrad = build.schedule.deferred_wgrad ? sched::WgradPolicy::kDeferred
+                                                      : sched::WgradPolicy::kLowestPriority;
+      generator.b_time = problem.split_backward ? 1.0 : 2.0;
+      generator.stage_time_scale.resize(static_cast<std::size_t>(problem.stages));
+      for (int i = 0; i < problem.stages; ++i) {
+        generator.stage_time_scale[static_cast<std::size_t>(i)] =
+            profile.slowdown[static_cast<std::size_t>(i)] *
+            build.plan.stage_unit_ratio(problem, i);
+      }
+      build.schedule =
+          sched::GenerateCapped(problem, generator, build.schedule.method + "+placed");
+    }
+  }
+
+  // Activation budgets against the *hosting* tier's memory, with static
+  // memory scaled by the adopted layer share. On one tier this
+  // recomputes exactly the reference build's budgets.
+  if (problem.split_backward) {
+    for (int stage = 0; stage < problem.stages; ++stage) {
+      const Bytes usable = topology.tier(placement.tier_of(stage)).gpu.usable_memory();
+      build.activation_budget[static_cast<std::size_t>(stage)] =
+          std::max<Bytes>(0, usable - StageStaticMemory(costs, build.plan, stage));
+    }
+  }
+  return build;
+}
+
+void WrapPlacement(sim::CostModelStack& stack, const CandidateBuild& build,
+                   const hw::ClusterTopology& topology) {
+  if (build.plan.any_change()) {
+    stack.Wrap<RebalancedCostModel>(build.problem, build.plan);
+  }
+  if (topology.num_tiers() > 1) {
+    stack.Wrap<TierScaledCostModel>(*build.costs, topology, build.placement, build.plan);
+  }
+}
+
+StageMemoryVerdict CheckStageMemory(const CandidateBuild& build,
+                                    const hw::ClusterTopology& topology,
+                                    const RebalancePlan& plan,
+                                    const std::vector<Bytes>& stage_peak_activation,
+                                    Bytes peak_activation) {
+  const TrainingCostModel& costs = *build.costs;
+  const sched::PipelineProblem& problem = build.problem;
+  // The capped ZBV generator's accounting releases a forward's
+  // activations at its B, but its W ops are deferred (kFillWhole) and the
+  // memory is really held until each W runs — so the measured peak
+  // carries an ~A/2 artifact. Floor every stage at the construction's
+  // honest bound, 1F1B parity (ZbvMaxRetainedForwards chunk-forwards),
+  // so memory feasibility cannot be fooled on either pricing path.
+  Bytes honest = 0;
+  if (build.strategy.method == Method::kZbvCapped) {
+    honest = static_cast<Bytes>(sched::ZbvMaxRetainedForwards(problem.stages, build.micros)) *
+             costs.PerForwardActivationBytes();
+  }
+  StageMemoryVerdict verdict;
+  verdict.peak_activation = std::max(peak_activation, honest);
+  int oom_stage = -1;
+  Bytes oom_total = 0;
+  for (int stage = 0; stage < problem.stages; ++stage) {
+    const Bytes stage_static = StageStaticMemory(costs, plan, stage);
+    verdict.static_memory = std::max(verdict.static_memory, stage_static);
+    const Bytes total =
+        stage_static +
+        std::max(stage_peak_activation[static_cast<std::size_t>(stage)], honest);
+    verdict.peak_memory = std::max(verdict.peak_memory, total);
+    if (oom_stage < 0 &&
+        total > topology.tier(build.placement.tier_of(stage)).gpu.usable_memory()) {
+      oom_stage = stage;
+      oom_total = total;
+    }
+  }
+  verdict.fits = oom_stage < 0;
+  if (verdict.fits) {
+    verdict.note = "ok";
+  } else if (topology.num_tiers() == 1) {
+    verdict.note =
+        StrFormat("OOM: peak %s > usable %s", FormatBytes(verdict.peak_memory).c_str(),
+                  FormatBytes(topology.tier(0).gpu.usable_memory()).c_str());
+  } else {
+    const hw::DeviceTier& tier = topology.tier(build.placement.tier_of(oom_stage));
+    verdict.note = StrFormat("OOM on stage %d (%s): peak %s > usable %s", oom_stage,
+                             tier.name.c_str(), FormatBytes(oom_total).c_str(),
+                             FormatBytes(tier.gpu.usable_memory()).c_str());
+  }
+  return verdict;
+}
+
+IterationResult SimulateIteration(const model::TransformerConfig& config,
+                                  const Strategy& strategy, const hw::ClusterTopology& topology,
+                                  const hw::StagePlacement& placement, int global_batch,
+                                  const IterationOptions& options) {
+  CandidateBuild build =
+      BuildCandidate(config, strategy, topology, placement, global_batch, options);
+  if (!build.feasible) {
+    return Infeasible(strategy, placement, std::move(build.note));
+  }
+  const bool mitigate = options.rebalance_stragglers && !options.fault_plan.empty();
+  MEPIPE_CHECK(!mitigate || UniformSpeed(topology, placement))
+      << "straggler rebalancing is unsupported on placement " << placement.ToString()
+      << ": its tiers differ in speed, and both rebalancers move the same layer split";
+  const hw::ParallelLayout layout = strategy.layout();
   const int micros = build.micros;
   const sched::PipelineProblem& problem = build.problem;
   const TrainingCostModel& costs = *build.costs;
@@ -280,18 +429,19 @@ IterationResult SimulateIteration(const model::TransformerConfig& config,
   engine.activation_budget = build.activation_budget;
   engine.fault_plan = options.fault_plan;
   engine.dp_overlap = options.dp_overlap;
-  engine.dp_link_shared = options.dp_overlap && hw::SingleTierTopology(cluster)
-                                                    .FabricShares(strategy.layout())
-                                                    .Shares(hw::Dim::kData, hw::Dim::kPipeline);
+  engine.dp_link_shared =
+      options.dp_overlap &&
+      topology.FabricShares(layout).Shares(hw::Dim::kData, hw::Dim::kPipeline);
   sim::SimResult sim;
   bool rebalanced = false;
   Seconds unmitigated_pipeline_time = 0;
-  // Per-stage static-memory scaling of the adopted mitigation's layer
-  // re-partition (1.0 everywhere when nothing was adopted).
-  std::vector<double> static_scale(static_cast<std::size_t>(strategy.pp), 1.0);
+  // The layer split static memory follows: the placement's, or the
+  // adopted straggler mitigation's.
+  RebalancePlan mitigation_plan;
+  const RebalancePlan* layer_split = &build.plan;
   auto execute = [&](const sim::CostModel& priced) {
     sim = Simulate(schedule, priced, engine);
-    if (!options.rebalance_stragglers || options.fault_plan.empty()) {
+    if (!mitigate) {
       return;
     }
     MitigationOptions mitigation;
@@ -310,20 +460,19 @@ IterationResult SimulateIteration(const model::TransformerConfig& config,
                                    std::max<std::int64_t>(1, options.cost.slice_alignment))
               : model::UniformSlices(mitigation.rebalance.seq_len, problem.slices);
     }
-    const MitigationReport report =
+    MitigationReport report =
         MitigateStragglers(schedule, priced, *options.fault_plan, mitigation);
     if (report.mitigated_makespan < sim.makespan) {
       unmitigated_pipeline_time = sim.makespan;
-      sim = report.mitigated;
-      schedule = report.mitigated_schedule;
-      for (int stage = 0; stage < strategy.pp; ++stage) {
-        static_scale[static_cast<std::size_t>(stage)] =
-            report.plan.stage_unit_ratio(problem, stage);
-      }
+      sim = std::move(report.mitigated);
+      schedule = std::move(report.mitigated_schedule);
+      mitigation_plan = std::move(report.plan);
+      layer_split = &mitigation_plan;
       rebalanced = true;
     }
   };
   sim::CostModelStack stack(costs);
+  WrapPlacement(stack, build, topology);
   if (options.noise_sigma > 0) {
     stack.Noisy(options.noise_sigma, options.noise_seed);
   }
@@ -331,6 +480,7 @@ IterationResult SimulateIteration(const model::TransformerConfig& config,
 
   IterationResult result;
   result.strategy = strategy;
+  result.placement = placement;
   result.micros = micros;
   result.pipeline_time = sim.makespan;
   result.mitigation.rebalanced = rebalanced;
@@ -345,62 +495,40 @@ IterationResult SimulateIteration(const model::TransformerConfig& config,
     result.dp.exposed = sim.dp.exposed;
   } else {
     // Monolithic sync after the flush: everything is exposed.
-    result.dp.serialized = costs.DpSyncTime();
+    result.dp.serialized = SerializedDpSync(costs, topology, placement, build.plan);
     result.dp.exposed = result.dp.serialized;
   }
   result.dp_sync_time = result.dp.exposed;
   result.iteration_time = sim.makespan + result.dp_sync_time + options.optimizer_step;
   result.bubble_ratio = sim.bubble_ratio;
-  result.static_memory = costs.MaxStaticMemory();
-  result.peak_activation = sim.peak_activation;
   result.checkpoint_shard = costs.CheckpointShardBytes();
   result.checkpoint_state = costs.CheckpointStateBytes();
 
-  // Worst stage overall: static of that stage (scaled by the adopted
-  // re-partition's layer share) + its activation peak.
-  Bytes peak = 0;
-  for (int stage = 0; stage < strategy.pp; ++stage) {
-    const Bytes stage_static = static_cast<Bytes>(
-        std::llround(static_cast<double>(costs.StaticMemory(stage)) *
-                     static_scale[static_cast<std::size_t>(stage)]));
-    peak = std::max(peak, stage_static +
-                              sim.stages[static_cast<std::size_t>(stage)].peak_activation);
+  std::vector<Bytes> stage_peaks(static_cast<std::size_t>(problem.stages));
+  for (int stage = 0; stage < problem.stages; ++stage) {
+    stage_peaks[static_cast<std::size_t>(stage)] =
+        sim.stages[static_cast<std::size_t>(stage)].peak_activation;
   }
-  if (strategy.method == Method::kZbvCapped) {
-    // The capped generator's accounting releases a forward's activations
-    // at its B, but its W ops are deferred (kFillWhole) and the memory is
-    // really held until each W runs — so the measured peak carries an
-    // ~A/2 artifact. Floor it at the construction's honest bound, 1F1B
-    // parity (ZbvMaxRetainedForwards chunk-forwards on the worst stage),
-    // so planner memory feasibility cannot be fooled. The surrogate
-    // applies the same floor.
-    const Bytes honest =
-        static_cast<Bytes>(sched::ZbvMaxRetainedForwards(strategy.pp, micros)) *
-        costs.PerForwardActivationBytes();
-    result.peak_activation = std::max(result.peak_activation, honest);
-    peak = std::max(peak, costs.MaxStaticMemory() + honest);
-  }
-  result.peak_memory = peak;
+  StageMemoryVerdict memory =
+      CheckStageMemory(build, topology, *layer_split, stage_peaks, sim.peak_activation);
+  result.static_memory = memory.static_memory;
+  result.peak_activation = memory.peak_activation;
+  result.peak_memory = memory.peak_memory;
+  result.feasible = memory.fits;
+  result.note = std::move(memory.note);
 
   const std::int64_t tokens = static_cast<std::int64_t>(global_batch) * config.seq_len;
   result.per_gpu_flops = model::TrainingFlops(config, tokens) /
-                         (result.iteration_time * static_cast<double>(world));
-  result.mfu = result.per_gpu_flops / cluster.gpu.peak_flops;
+                         (result.iteration_time * static_cast<double>(layout.ranks()));
+  result.mfu = result.per_gpu_flops / MeanPeakFlops(topology, placement, layout);
+  result.dollars = PriceDollarCost(
+      topology, strategy, placement, result.iteration_time,
+      WanEgressBytesPerIteration(config, strategy, placement, topology, global_batch));
 
-  if (result.peak_memory > cluster.gpu.usable_memory()) {
-    result.feasible = false;
-    result.note = StrFormat("OOM: peak %s > usable %s", FormatBytes(result.peak_memory).c_str(),
-                            FormatBytes(cluster.gpu.usable_memory()).c_str());
-  } else {
-    result.feasible = true;
-    result.note = "ok";
-  }
-  if (options.keep_timeline) {
-    result.sim = std::move(sim);
-  } else {
+  if (!options.keep_timeline) {
     sim.timeline.clear();
-    result.sim = std::move(sim);
   }
+  result.sim = std::move(sim);
   if (options.keep_schedule) {
     result.schedule = std::move(schedule);
     result.activation_budget = engine.activation_budget;

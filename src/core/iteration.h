@@ -3,7 +3,11 @@
 // discrete-event engine, and folds in the data-parallel synchronization
 // and optimizer step — producing the quantities the paper's evaluation
 // reports (iteration time, bubble ratio, peak memory, per-GPU TFLOPS,
-// MFU).
+// MFU) plus the dollars the run costs.
+//
+// Every candidate runs on a hw::ClusterTopology under a stage→tier
+// hw::StagePlacement. A paper testbed is the one-tier case; the
+// ClusterSpec overloads below embed it with SingleTierTopology.
 #ifndef MEPIPE_CORE_ITERATION_H_
 #define MEPIPE_CORE_ITERATION_H_
 
@@ -11,6 +15,8 @@
 #include <string>
 #include <vector>
 
+#include "core/fleet.h"
+#include "core/rebalance.h"
 #include "core/training_cost.h"
 #include "hw/cluster.h"
 #include "model/transformer.h"
@@ -18,13 +24,6 @@
 #include "sim/engine.h"
 
 namespace mepipe::core {
-
-// Whether `method` schedules B and W as separate ops (zero-bubble family
-// and MEPipe) — fixed properties of the method the planner and the
-// surrogate both key decisions off.
-bool MethodSplitsBackward(Method method);
-// Whether `method`'s slice axis is SPP (sequence pipeline) rather than CP.
-bool MethodUsesSlices(Method method);
 
 struct IterationOptions {
   TrainingCostOptions cost;
@@ -66,13 +65,14 @@ struct IterationOptions {
   // (sim::EngineOptions::dp_overlap) instead of serializing the
   // monolithic sync after the flush. Whether the DP ring contends with
   // pipeline transfers is derived from the cluster topology
-  // (hw::DpSharesPipelineFabric). iteration_time then pays only the
-  // exposed tail (IterationResult::dp).
+  // (hw::FabricShareMap::Shares(kData, kPipeline)). iteration_time then
+  // pays only the exposed tail (IterationResult::dp).
   bool dp_overlap = false;
 };
 
 struct IterationResult {
   Strategy strategy;
+  hw::StagePlacement placement;  // stage → tier the strategy ran on
   bool feasible = false;
   std::string note;  // "ok", or the constraint/OOM explanation
 
@@ -127,6 +127,8 @@ struct IterationResult {
 
   double per_gpu_flops = 0;      // achieved FLOPS per GPU
   double mfu = 0;                // model FLOPS utilization
+  // Rental + WAN egress of one iteration (the kDollarCost objective).
+  DollarCostBreakdown dollars;
 
   sim::SimResult sim;            // timeline (empty if !keep_timeline)
   // The executed schedule and the per-stage activation budget (bytes)
@@ -144,6 +146,7 @@ struct IterationResult {
 // both paths agree on exactly what a candidate means.
 struct CandidateBuild {
   Strategy strategy;
+  hw::StagePlacement placement;  // set by the placed build once its layout validates
   bool feasible = false;
   std::string note;  // "ok", or the structural-constraint explanation
   int micros = 0;
@@ -153,25 +156,78 @@ struct CandidateBuild {
   sched::Schedule schedule;
   // Effective engine settings: methods with statically-filled W override
   // the caller's wgrad mode; split-backward methods get a per-stage
-  // activation budget of usable_memory - StaticMemory(stage).
+  // activation budget of the hosting tier's usable memory minus the
+  // stage's static memory.
   sim::WgradMode wgrad_mode = sim::WgradMode::kFillGemms;
   std::vector<Bytes> activation_budget;
+  // Speed-proportional layer re-partition of a placement whose tiers
+  // differ in speed (default, i.e. the even split, otherwise). Its stage
+  // unit ratios scale each stage's static memory and parameter share.
+  RebalancePlan plan;
 };
 
-// Builds (but does not execute) the candidate: structural feasibility,
-// problem, cost model, schedule, and engine settings. Infeasible
-// candidates return feasible=false with a note and no costs/schedule.
+// Builds (but does not execute) the candidate on one tier: structural
+// feasibility, problem, cost model, schedule, and engine settings. The
+// layout must cover `cluster` exactly. Infeasible candidates return
+// feasible=false with a note and no costs/schedule.
 CandidateBuild BuildCandidate(const model::TransformerConfig& config,
                               const Strategy& strategy, const hw::ClusterSpec& cluster,
                               int global_batch, const IterationOptions& options = {});
 
-// Simulates one training iteration of `config` under `strategy` on
-// `cluster` with global batch size `global_batch` (samples). Infeasible
-// strategies (indivisible batch, model not partitionable, OOM, …) return
-// feasible=false with an explanatory note instead of throwing.
+// Builds the candidate for `placement` on `topology`: validates the
+// layout (hw::ParallelLayout::Validate), builds on the reference
+// sub-cluster (core::ReferenceSpec), sheds layers off slow tiers and
+// regenerates the program order when the occupied tiers differ in
+// speed, and sizes every stage's activation budget against its hosting
+// tier's memory.
+CandidateBuild BuildCandidate(const model::TransformerConfig& config,
+                              const Strategy& strategy, const hw::ClusterTopology& topology,
+                              const hw::StagePlacement& placement, int global_batch,
+                              const IterationOptions& options = {});
+
+// Pushes the placement's re-pricing onto `stack` (rooted at
+// *build.costs): the layer re-partition, then, on several tiers,
+// TierScaledCostModel.
+void WrapPlacement(sim::CostModelStack& stack, const CandidateBuild& build,
+                   const hw::ClusterTopology& topology);
+
+// Per-stage memory verdict of an executed (or table-priced) candidate:
+// each stage's static memory scaled by its layer share under `plan`,
+// plus its activation peak, against the hosting tier's usable memory.
+// kZbvCapped is floored at its 1F1B-parity retained-forward bound.
+struct StageMemoryVerdict {
+  Bytes static_memory = 0;    // worst stage
+  Bytes peak_activation = 0;  // measured (floored for kZbvCapped)
+  Bytes peak_memory = 0;      // worst stage static + activations
+  bool fits = false;
+  std::string note;  // "ok", or the OOM explanation
+};
+StageMemoryVerdict CheckStageMemory(const CandidateBuild& build,
+                                    const hw::ClusterTopology& topology,
+                                    const RebalancePlan& plan,
+                                    const std::vector<Bytes>& stage_peak_activation,
+                                    Bytes peak_activation);
+
+// Simulates one training iteration of `config` under `strategy` placed
+// on `topology` with global batch size `global_batch` (samples).
+// Infeasible strategies (indivisible batch, model not partitionable,
+// inadmissible layout, OOM, …) return feasible=false with an
+// explanatory note instead of throwing. Straggler rebalancing
+// (options.rebalance_stragglers with a fault plan) CHECK-fails on a
+// placement whose tiers differ in speed: the placement already owns the
+// layer split the rebalancer would move.
 IterationResult SimulateIteration(const model::TransformerConfig& config,
-                                  const Strategy& strategy, const hw::ClusterSpec& cluster,
-                                  int global_batch, const IterationOptions& options = {});
+                                  const Strategy& strategy, const hw::ClusterTopology& topology,
+                                  const hw::StagePlacement& placement, int global_batch,
+                                  const IterationOptions& options = {});
+
+// One-tier form: `strategy` on the whole of `cluster`.
+inline IterationResult SimulateIteration(const model::TransformerConfig& config,
+                                         const Strategy& strategy, const hw::ClusterSpec& cluster,
+                                         int global_batch, const IterationOptions& options = {}) {
+  return SimulateIteration(config, strategy, hw::SingleTierTopology(cluster),
+                           hw::StagePlacement::Uniform(strategy.pp, 0), global_batch, options);
+}
 
 }  // namespace mepipe::core
 

@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <atomic>
+#include <string>
 #include <thread>
+#include <utility>
 
 #include "common/check.h"
 #include "core/deployment.h"
@@ -40,18 +42,40 @@ std::vector<int> VpCandidatesFor(Method method, const PlannerOptions& options) {
   }
 }
 
+// One grid point: a strategy pinned to a stage→tier placement.
+struct Candidate {
+  Strategy strategy;
+  hw::StagePlacement placement;
+};
+
+// The dp axis for a stage group of `denom` = pp·cp·tp ranks, by
+// ParallelLayout::Validate's admissibility rule: one tier admits only the
+// exact cover dp = world/denom; several tiers admit every power of two
+// whose layout fits in the fleet.
+std::vector<int> DpAxis(const hw::ClusterTopology& topology, int denom) {
+  const int max_dp = topology.world_size() / denom;
+  if (topology.num_tiers() == 1) {
+    return {max_dp};
+  }
+  std::vector<int> dps;
+  for (int dp = 1; dp <= max_dp; dp *= 2) {
+    dps.push_back(dp);
+  }
+  return dps;
+}
+
 // The full candidate grid for `method`, in the canonical enumeration
-// order tp → pp → slice → vp → recompute. This order is the search's
-// tie-break: every driver (serial exhaustive, pruned, two-phase
-// parallel) ranks equal scores by position in this list, which is what
-// makes the parallel winner bit-identical to the serial one.
-std::vector<Strategy> EnumerateCandidates(Method method, const hw::ClusterSpec& cluster,
-                                          const PlannerOptions& options) {
-  std::vector<Strategy> grid;
-  const int world = cluster.world_size();
-  const hw::ClusterTopology topology = hw::SingleTierTopology(cluster);
+// order tp → pp → slice → vp → recompute → dp → placement. This order is
+// the search's tie-break: every search mode (serial exhaustive, pruned,
+// two-phase parallel) ranks equal scores by position in this list, which
+// is what makes the parallel winner bit-identical to the serial one.
+std::vector<Candidate> EnumerateCandidates(Method method, const hw::ClusterTopology& topology,
+                                           const PlannerOptions& options,
+                                           int* invalid_placements) {
+  std::vector<Candidate> grid;
   for (int tp : options.tp_candidates) {
     for (int pp : options.pp_candidates) {
+      const std::vector<hw::StagePlacement> placements = EnumeratePlacements(topology, pp);
       for (int slice : options.slice_candidates) {
         for (int vp : VpCandidatesFor(method, options)) {
           const std::vector<bool> recompute_choices =
@@ -76,17 +100,19 @@ std::vector<Strategy> EnumerateCandidates(Method method, const hw::ClusterSpec& 
             if (denom == 0) {
               continue;
             }
-            strategy.dp = world / denom;
-            if (strategy.dp < options.min_dp) {
-              continue;
+            for (const int dp : DpAxis(topology, denom)) {
+              if (dp < options.min_dp) {
+                continue;
+              }
+              strategy.dp = dp;
+              for (const hw::StagePlacement& placement : placements) {
+                if (!strategy.layout().Validate(topology, placement).empty()) {
+                  ++*invalid_placements;
+                  continue;
+                }
+                grid.push_back({strategy, placement});
+              }
             }
-            // Structured admissibility (kWorldMismatch subsumes the old
-            // world % denom test: an integer-truncated dp cannot cover
-            // the world exactly).
-            if (!strategy.layout().Validate(topology).empty()) {
-              continue;
-            }
-            grid.push_back(strategy);
           }
         }
       }
@@ -123,34 +149,50 @@ void PriceGoodput(IterationResult& result, const PlannerOptions& options) {
       result.iteration_time / std::max(sol.goodput, 1e-12);
 }
 
-// The quantity the search minimizes for `result` under `options`'
-// objective. Feasible results only.
-Seconds Score(const IterationResult& result, const PlannerOptions& options) {
-  return options.objective == PlannerObjective::kGoodput
-             ? result.goodput.effective_iteration_time
-             : result.iteration_time;
+// What the search minimizes, compared lexicographically: the objective's
+// quantity, then (kDollarCost only) iteration time as the tie-break.
+using Score = std::pair<double, Seconds>;
+
+Score ScoreOf(const PlannerOptions& options, Seconds iteration_time,
+              Seconds effective_iteration_time, double usd_per_iteration) {
+  switch (options.objective) {
+    case PlannerObjective::kGoodput:
+      return {effective_iteration_time, 0.0};
+    case PlannerObjective::kDollarCost:
+      return {usd_per_iteration, iteration_time};
+    case PlannerObjective::kIterationTime:
+      break;
+  }
+  return {iteration_time, 0.0};
 }
 
-// The surrogate analogue of Score for phase-1 ranking: closed-form
-// goodput pricing instead of the Monte-Carlo-refined solve.
-Seconds SurrogateScore(const SurrogateResult& result, const PlannerOptions& options) {
-  if (options.objective != PlannerObjective::kGoodput) {
-    return result.iteration_time;
+// The score of a feasible DES result.
+Score ScoreOf(const IterationResult& result, const PlannerOptions& options) {
+  return ScoreOf(options, result.iteration_time, result.goodput.effective_iteration_time,
+                 result.dollars.usd_per_iteration);
+}
+
+// The surrogate analogue for phase-1 ranking: closed-form goodput
+// pricing instead of the Monte-Carlo-refined solve.
+Score ScoreOf(const SurrogateResult& result, const PlannerOptions& options) {
+  Seconds effective = result.iteration_time;
+  if (options.objective == PlannerObjective::kGoodput) {
+    ResilienceOptions res = options.resilience;
+    res.dp_replicas = result.strategy.dp;
+    effective = ClosedFormGoodput(result.iteration_time, result.checkpoint_shard, res,
+                                  options.checkpoint_cost)
+                    .effective_iteration_time;
   }
-  ResilienceOptions res = options.resilience;
-  res.dp_replicas = result.strategy.dp;
-  return ClosedFormGoodput(result.iteration_time, result.checkpoint_shard, res,
-                           options.checkpoint_cost)
-      .effective_iteration_time;
+  return ScoreOf(options, result.iteration_time, effective, result.dollars.usd_per_iteration);
 }
 
 // Phase 1 of the two-phase driver: surrogate-price every grid candidate
 // on `threads` workers (atomic work index; results land in their
 // candidate's slot, so the outcome is thread-count-independent).
-std::vector<SurrogateResult> SurrogateSweep(const std::vector<Strategy>& grid,
+std::vector<SurrogateResult> SurrogateSweep(const std::vector<Candidate>& grid,
                                             const model::TransformerConfig& config,
-                                            const hw::ClusterSpec& cluster, int global_batch,
-                                            const IterationOptions& iteration,
+                                            const hw::ClusterTopology& topology,
+                                            int global_batch, const IterationOptions& iteration,
                                             SurrogateCache* cache, int threads) {
   std::vector<SurrogateResult> priced(grid.size());
   if (grid.empty()) {
@@ -169,10 +211,13 @@ std::vector<SurrogateResult> SurrogateSweep(const std::vector<Strategy>& grid,
   std::atomic<std::size_t> next{0};
   const auto worker = [&]() {
     for (std::size_t i = next.fetch_add(1); i < grid.size(); i = next.fetch_add(1)) {
+      const Candidate& c = grid[i];
       try {
-        priced[i] = SurrogatePrice(config, grid[i], cluster, global_batch, surrogate);
+        priced[i] = SurrogatePrice(config, c.strategy, topology, c.placement, global_batch,
+                                   surrogate);
       } catch (const CheckError& err) {
-        priced[i].strategy = grid[i];
+        priced[i].strategy = c.strategy;
+        priced[i].placement = c.placement;
         priced[i].feasible = false;
         priced[i].note = err.what();
       }
@@ -193,10 +238,19 @@ std::vector<SurrogateResult> SurrogateSweep(const std::vector<Strategy>& grid,
   return priced;
 }
 
+// A grid point the exact phase did not simulate, with the reason.
+IterationResult Skipped(const Candidate& candidate, std::string note) {
+  IterationResult skipped;
+  skipped.strategy = candidate.strategy;
+  skipped.placement = candidate.placement;
+  skipped.note = std::move(note);
+  return skipped;
+}
+
 }  // namespace
 
 PlannerResult SearchBestStrategy(Method method, const model::TransformerConfig& config,
-                                 const hw::ClusterSpec& cluster, int global_batch,
+                                 const hw::ClusterTopology& topology, int global_batch,
                                  const PlannerOptions& options) {
   PlannerResult out;
 
@@ -211,7 +265,8 @@ PlannerResult SearchBestStrategy(Method method, const model::TransformerConfig& 
   // work across stages, which no per-stage bound survives — off there.
   const bool prune = options.prune && !(faulted && options.search_rebalanced);
 
-  const std::vector<Strategy> grid = EnumerateCandidates(method, cluster, options);
+  const std::vector<Candidate> grid =
+      EnumerateCandidates(method, topology, options, &out.invalid_placements);
 
   // ---- phase 1: surrogate sweep + top-k selection (two_phase only) ----
   // The surrogate prices clean runs only; under a fault plan the search
@@ -220,17 +275,17 @@ PlannerResult SearchBestStrategy(Method method, const model::TransformerConfig& 
   std::vector<SurrogateResult> priced;
   const bool two_phase = options.two_phase && !faulted;
   if (two_phase) {
-    priced = SurrogateSweep(grid, config, cluster, global_batch, eval_options,
-                            options.cache, options.threads);
+    priced = SurrogateSweep(grid, config, topology, global_batch, eval_options, options.cache,
+                            options.threads);
     out.surrogate_priced = static_cast<int>(priced.size());
     for (const SurrogateResult& result : priced) {
       out.cache_hits += result.cache_hit ? 1 : 0;
     }
-    std::vector<std::pair<Seconds, std::size_t>> ranked;  // (score, grid index)
+    std::vector<std::pair<Score, std::size_t>> ranked;  // (score, grid index)
     ranked.reserve(priced.size());
     for (std::size_t i = 0; i < priced.size(); ++i) {
       if (priced[i].feasible) {
-        ranked.push_back({SurrogateScore(priced[i], options), i});
+        ranked.push_back({ScoreOf(priced[i], options), i});
       }
     }
     std::sort(ranked.begin(), ranked.end());
@@ -250,50 +305,60 @@ PlannerResult SearchBestStrategy(Method method, const model::TransformerConfig& 
 
   // ---- phase 2 / exhaustive: exact DES + goodput pricing ----
   for (std::size_t i = 0; i < grid.size(); ++i) {
-    const Strategy& strategy = grid[i];
+    const Candidate& candidate = grid[i];
     if (two_phase && !selected[i]) {
-      IterationResult skipped;
-      skipped.strategy = strategy;
-      skipped.note = priced[i].feasible
-                         ? "skipped: outside surrogate top-k"
-                         : "surrogate: " + priced[i].note;
-      out.evaluated.push_back(std::move(skipped));
+      out.evaluated.push_back(Skipped(candidate, priced[i].feasible
+                                                     ? "skipped: outside surrogate top-k"
+                                                     : "surrogate: " + priced[i].note));
       continue;
     }
     if (prune && out.best) {
-      // Sound under both objectives: the goodput score
+      // Sound under every objective: the goodput score
       // iteration_time / goodput never falls below the iteration time
-      // itself (goodput <= 1), so a bound above the incumbent's score
-      // bounds the candidate out either way.
-      const auto bound =
-          SurrogateLowerBound(config, strategy, cluster, global_batch, eval_options);
-      if (bound && *bound >= Score(*out.best, options)) {
-        ++out.pruned;
-        IterationResult skipped;
-        skipped.strategy = strategy;
-        skipped.note = "pruned: lower bound above incumbent";
-        out.evaluated.push_back(std::move(skipped));
-        continue;
+      // itself (goodput <= 1), and dollars grow monotonically with
+      // iteration time, so a bound priced like a result is at or below
+      // the candidate's own score.
+      const auto bound = SurrogateLowerBound(config, candidate.strategy, topology,
+                                             candidate.placement, global_batch, eval_options);
+      if (bound) {
+        const double usd =
+            options.objective == PlannerObjective::kDollarCost
+                ? PriceDollarCost(topology, candidate.strategy, candidate.placement, *bound,
+                                  WanEgressBytesPerIteration(config, candidate.strategy,
+                                                             candidate.placement, topology,
+                                                             global_batch))
+                      .usd_per_iteration
+                : 0.0;
+        if (ScoreOf(options, *bound, *bound, usd) >= ScoreOf(*out.best, options)) {
+          ++out.pruned;
+          out.evaluated.push_back(Skipped(candidate, "pruned: lower bound above incumbent"));
+          continue;
+        }
       }
     }
-    IterationResult result =
-        SimulateIteration(config, strategy, cluster, global_batch, eval_options);
+    IterationResult result = SimulateIteration(config, candidate.strategy, topology,
+                                               candidate.placement, global_batch, eval_options);
     ++out.simulated;
     PriceGoodput(result, options);
-    if (options.search_rebalanced && faulted && !eval_options.rebalance_stragglers) {
+    // Straggler rebalancing is unsupported on a mixed-speed placement
+    // (SimulateIteration CHECK-fails there), so such candidates stay
+    // unmitigated.
+    if (options.search_rebalanced && faulted && !eval_options.rebalance_stragglers &&
+        UniformSpeed(topology, candidate.placement)) {
       IterationOptions mitigated_options = eval_options;
       mitigated_options.rebalance_stragglers = true;
       IterationResult mitigated =
-          SimulateIteration(config, strategy, cluster, global_batch, mitigated_options);
+          SimulateIteration(config, candidate.strategy, topology, candidate.placement,
+                            global_batch, mitigated_options);
       ++out.simulated;
       PriceGoodput(mitigated, options);
       if (mitigated.feasible &&
-          (!result.feasible || Score(mitigated, options) < Score(result, options))) {
+          (!result.feasible || ScoreOf(mitigated, options) < ScoreOf(result, options))) {
         result = std::move(mitigated);
       }
     }
     if (result.feasible) {
-      if (!out.best || Score(result, options) < Score(*out.best, options)) {
+      if (!out.best || ScoreOf(result, options) < ScoreOf(*out.best, options)) {
         out.best = result;
       }
     }
@@ -307,229 +372,12 @@ PlannerResult SearchBestStrategy(Method method, const model::TransformerConfig& 
     final_options.keep_timeline = true;
     final_options.rebalance_stragglers =
         eval_options.rebalance_stragglers || out.best->mitigation.rebalanced;
-    *out.best =
-        SimulateIteration(config, out.best->strategy, cluster, global_batch, final_options);
+    *out.best = SimulateIteration(config, out.best->strategy, topology, out.best->placement,
+                                  global_batch, final_options);
     MEPIPE_CHECK(out.best->feasible);
     PriceGoodput(*out.best, options);
   }
   return out;
-}
-
-namespace {
-
-// The fleet grid in canonical order: tp → pp → slice → vp → recompute →
-// dp (powers of two) → placement (EnumeratePlacements order). As in the
-// homogeneous search, this order is the tie-break that makes the
-// parallel two-phase winner thread-count-invariant.
-std::vector<PlacedStrategy> EnumerateFleetCandidates(Method method,
-                                                     const hw::ClusterTopology& topology,
-                                                     const PlannerOptions& options,
-                                                     int* invalid_placements) {
-  std::vector<PlacedStrategy> grid;
-  const int world = topology.world_size();
-  for (int tp : options.tp_candidates) {
-    for (int pp : options.pp_candidates) {
-      const std::vector<hw::StagePlacement> placements = EnumeratePlacements(topology, pp);
-      for (int slice : options.slice_candidates) {
-        for (int vp : VpCandidatesFor(method, options)) {
-          const std::vector<bool> recompute_choices =
-              (options.allow_recompute && !MethodSplitsBackward(method))
-                  ? std::vector<bool>{false, true}
-                  : std::vector<bool>{false};
-          for (bool recompute : recompute_choices) {
-            Strategy strategy;
-            strategy.method = method;
-            strategy.pp = pp;
-            strategy.tp = tp;
-            strategy.vp = vp;
-            strategy.recompute = recompute;
-            if (MethodUsesSlices(method)) {
-              strategy.cp = 1;
-              strategy.spp = slice;
-            } else {
-              strategy.cp = slice;
-              strategy.spp = 1;
-            }
-            const int denom = pp * strategy.cp * tp;
-            if (denom == 0) {
-              continue;
-            }
-            // The layout need not cover the fleet: dp sweeps powers of
-            // two while the rank count still fits somewhere.
-            for (int dp = 1; dp <= world / denom; dp *= 2) {
-              if (dp < options.min_dp) {
-                continue;
-              }
-              strategy.dp = dp;
-              for (const hw::StagePlacement& placement : placements) {
-                if (!strategy.layout().Validate(topology, placement).empty()) {
-                  ++*invalid_placements;
-                  continue;
-                }
-                grid.push_back({strategy, placement});
-              }
-            }
-          }
-        }
-      }
-    }
-  }
-  return grid;
-}
-
-// The fleet search's ranking quantity (kGoodput is rejected upstream).
-double FleetScore(Seconds iteration_time, const DollarCostBreakdown& dollars,
-                  const PlannerOptions& options) {
-  return options.objective == PlannerObjective::kDollarCost ? dollars.usd_per_iteration
-                                                            : iteration_time;
-}
-
-// Phase 1 of the fleet driver: SurrogatePricePlaced over the placed grid
-// on `threads` workers. Same atomic-work-index scheme as SurrogateSweep,
-// so the result vector is independent of the thread count.
-std::vector<PlacedSurrogateResult> FleetSurrogateSweep(
-    const std::vector<PlacedStrategy>& grid, const model::TransformerConfig& config,
-    const hw::ClusterTopology& topology, int global_batch, const IterationOptions& iteration,
-    SurrogateCache* cache, int threads) {
-  std::vector<PlacedSurrogateResult> priced(grid.size());
-  if (grid.empty()) {
-    return priced;
-  }
-  SurrogateOptions surrogate;
-  surrogate.iteration = iteration;
-  surrogate.iteration.keep_timeline = false;
-  surrogate.iteration.keep_schedule = false;
-  surrogate.cache = cache;
-  if (threads <= 0) {
-    threads = static_cast<int>(std::thread::hardware_concurrency());
-  }
-  threads = std::clamp(threads, 1, static_cast<int>(grid.size()));
-
-  std::atomic<std::size_t> next{0};
-  const auto worker = [&]() {
-    for (std::size_t i = next.fetch_add(1); i < grid.size(); i = next.fetch_add(1)) {
-      try {
-        priced[i] = SurrogatePricePlaced(config, grid[i], topology, global_batch, surrogate);
-      } catch (const CheckError& err) {
-        priced[i].placed = grid[i];
-        priced[i].result.strategy = grid[i].strategy;
-        priced[i].result.feasible = false;
-        priced[i].result.note = err.what();
-      }
-    }
-  };
-  if (threads == 1) {
-    worker();
-  } else {
-    std::vector<std::thread> pool;
-    pool.reserve(static_cast<std::size_t>(threads));
-    for (int t = 0; t < threads; ++t) {
-      pool.emplace_back(worker);
-    }
-    for (std::thread& t : pool) {
-      t.join();
-    }
-  }
-  return priced;
-}
-
-}  // namespace
-
-FleetPlannerResult SearchBestFleetStrategy(Method method,
-                                           const model::TransformerConfig& config,
-                                           const hw::ClusterTopology& topology,
-                                           int global_batch, const PlannerOptions& options) {
-  MEPIPE_CHECK(options.objective != PlannerObjective::kGoodput)
-      << "the goodput objective is not supported on the fleet path";
-  MEPIPE_CHECK(options.fault_plan.empty() && options.iteration.fault_plan.empty())
-      << "the fleet search prices clean runs only";
-  FleetPlannerResult out;
-
-  IterationOptions eval_options = options.iteration;
-  eval_options.keep_timeline = false;
-
-  std::vector<PlacedStrategy> grid =
-      EnumerateFleetCandidates(method, topology, options, &out.invalid_placements);
-  out.evaluated = static_cast<int>(grid.size());
-
-  // ---- phase 1: analytic placement pricing (two_phase only) ----
-  std::vector<char> selected(grid.size(), 1);
-  if (options.two_phase && !grid.empty()) {
-    out.priced = FleetSurrogateSweep(grid, config, topology, global_batch, eval_options,
-                                     options.cache, options.threads);
-    out.surrogate_priced = static_cast<int>(out.priced.size());
-    for (const PlacedSurrogateResult& priced : out.priced) {
-      out.cache_hits += priced.result.cache_hit ? 1 : 0;
-    }
-    std::vector<std::pair<double, std::size_t>> ranked;  // (score, grid index)
-    ranked.reserve(out.priced.size());
-    for (std::size_t i = 0; i < out.priced.size(); ++i) {
-      if (out.priced[i].result.feasible) {
-        ranked.push_back(
-            {FleetScore(out.priced[i].result.iteration_time, out.priced[i].dollars, options),
-             i});
-      }
-    }
-    std::sort(ranked.begin(), ranked.end());
-    if (!ranked.empty()) {
-      const std::size_t top_k = std::min<std::size_t>(
-          ranked.size(), static_cast<std::size_t>(std::max(1, options.surrogate_top_k)));
-      selected.assign(grid.size(), 0);
-      for (std::size_t r = 0; r < top_k; ++r) {
-        selected[ranked[r].second] = 1;
-      }
-    }
-    // Nothing surrogate-feasible: keep everything selected so the DES
-    // pass can still find a feasible placement the surrogate missed.
-  }
-
-  // ---- phase 2 / exhaustive: DES in grid order ----
-  double best_score = 0;
-  for (std::size_t i = 0; i < grid.size(); ++i) {
-    if (!selected[i]) {
-      continue;
-    }
-    PlacedIterationResult result;
-    try {
-      result = SimulatePlacedIteration(config, grid[i], topology, global_batch, eval_options);
-    } catch (const CheckError& err) {
-      result.placed = grid[i];
-      result.result.strategy = grid[i].strategy;
-      result.result.feasible = false;
-      result.result.note = err.what();
-    }
-    ++out.simulated;
-    if (!result.result.feasible) {
-      continue;
-    }
-    const double score = FleetScore(result.result.iteration_time, result.dollars, options);
-    if (!out.best || score < best_score) {
-      best_score = score;
-      out.best = std::move(result);
-    }
-  }
-
-  // Re-simulate the winner with its timeline for downstream rendering.
-  if (out.best) {
-    IterationOptions final_options = eval_options;
-    final_options.keep_timeline = true;
-    *out.best =
-        SimulatePlacedIteration(config, out.best->placed, topology, global_batch, final_options);
-    MEPIPE_CHECK(out.best->result.feasible);
-  }
-  return out;
-}
-
-std::vector<PlannerResult> SearchMethods(const std::vector<Method>& methods,
-                                         const model::TransformerConfig& config,
-                                         const hw::ClusterSpec& cluster, int global_batch,
-                                         const PlannerOptions& options) {
-  std::vector<PlannerResult> results;
-  results.reserve(methods.size());
-  for (Method method : methods) {
-    results.push_back(SearchBestStrategy(method, config, cluster, global_batch, options));
-  }
-  return results;
 }
 
 }  // namespace mepipe::core

@@ -2,13 +2,21 @@
 // Parallel Strategy"): exhaustively evaluates the (PP, DP, CP/SPP, VP,
 // recomputation) combinations a method admits and returns the fastest
 // feasible one — exactly how the paper tuned every system it compares.
+//
+// One search serves a paper testbed and a priced multi-tier fleet alike:
+// the grid runs over hw::ClusterTopology, and every strategy is paired
+// with a stage→tier placement (core/fleet EnumeratePlacements). The dp
+// axis follows hw::ParallelLayout::Validate's admissibility rule — on
+// one tier dp = world/(pp·cp·tp), so the layout covers the whole cluster
+// (and the only placement is uniform); on several tiers dp runs over
+// powers of two >= min_dp while the layout fits, crossed with every
+// placement that validates.
 #ifndef MEPIPE_CORE_PLANNER_H_
 #define MEPIPE_CORE_PLANNER_H_
 
 #include <optional>
 #include <vector>
 
-#include "core/fleet.h"
 #include "core/iteration.h"
 #include "core/resilience.h"
 #include "core/surrogate.h"
@@ -29,10 +37,9 @@ namespace mepipe::core {
 //    schedule with cheaper checkpoints or a friendlier restart scope can
 //    out-rank the fault-free winner.
 //  - kDollarCost: dollars per iteration — fleet rental (occupied ranks ×
-//    tier $/GPU-hour × iteration time) plus WAN egress. Meaningful on the
-//    fleet path (SearchBestFleetStrategy), where tiers price differently;
-//    on the homogeneous path every candidate rents the same fleet, so the
-//    ranking degenerates to kIterationTime.
+//    tier $/GPU-hour × iteration time) plus WAN egress. Ties in dollars
+//    are broken by iteration time, so on one tier (where every candidate
+//    rents the same fleet, possibly at $0) the ranking is kIterationTime's.
 enum class PlannerObjective { kIterationTime, kGoodput, kDollarCost };
 
 struct PlannerOptions {
@@ -51,8 +58,9 @@ struct PlannerOptions {
   // fewer simulations. The bound (core::SurrogateLowerBound) is
   // fault-aware — straggler windows cap each stage's work rate — so
   // pruning stays on in the joint straggler × goodput search. Only
-  // search_rebalanced disables it: re-partitioning moves work across
-  // stages, invalidating any per-stage bound.
+  // search_rebalanced disables it, and placements whose tiers differ in
+  // speed are never pruned: re-partitioning moves work across stages,
+  // invalidating any per-stage bound.
   bool prune = false;
   // ---- two-phase surrogate search (core/surrogate) ----
   // Phase 1 prices the whole grid with the analytic surrogate (on
@@ -110,58 +118,46 @@ struct PlannerOptions {
 };
 
 struct PlannerResult {
-  std::optional<IterationResult> best;      // fastest feasible, if any
-  std::vector<IterationResult> evaluated;   // every combination tried
+  std::optional<IterationResult> best;      // best feasible, if any
+  std::vector<IterationResult> evaluated;   // every (strategy, placement) tried
   int simulated = 0;                        // full simulations run
   int pruned = 0;                           // skipped via the lower bound
   int surrogate_priced = 0;                 // phase-1 analytic prices (two_phase)
   int cache_hits = 0;                       // of those, served from the cache
+  // Grid points hw::ParallelLayout::Validate rejected before evaluation
+  // (a layout/placement that oversubscribes a tier, or on one tier does
+  // not cover it).
+  int invalid_placements = 0;
 };
 
-// Searches the grid for `method`. Timelines are kept only on the winner.
+// Searches the grid for `method` on `topology`, ranked by
+// `options.objective`. With options.two_phase the grid is surrogate-
+// priced in parallel (thread-count-invariant winner: candidates rank by
+// (score, grid order)) and the DES runs only on the surrogate top-k.
+// Timelines are kept only on the winner. Every objective, fault plans
+// and pruning work on every topology; straggler rebalancing
+// (search_rebalanced) leaves placements whose tiers differ in speed
+// unmitigated.
 PlannerResult SearchBestStrategy(Method method, const model::TransformerConfig& config,
-                                 const hw::ClusterSpec& cluster, int global_batch,
+                                 const hw::ClusterTopology& topology, int global_batch,
                                  const PlannerOptions& options = {});
 
-// ---- Heterogeneous-fleet search (core/fleet) ------------------------------
+// One-tier form: the search on the whole of `cluster`.
+inline PlannerResult SearchBestStrategy(Method method, const model::TransformerConfig& config,
+                                        const hw::ClusterSpec& cluster, int global_batch,
+                                        const PlannerOptions& options = {}) {
+  return SearchBestStrategy(method, config, hw::SingleTierTopology(cluster), global_batch,
+                            options);
+}
 
-// Outcome of SearchBestFleetStrategy. `evaluated` counts the placed grid
-// after layout validation; placements rejected by
-// ParallelLayout::Validate never enter the grid and are tallied in
-// `invalid_placements`.
-struct FleetPlannerResult {
-  std::optional<PlacedIterationResult> best;  // best feasible, if any
-  // Phase-1 surrogate prices in grid order (empty unless two_phase).
-  std::vector<PlacedSurrogateResult> priced;
-  int evaluated = 0;
-  int invalid_placements = 0;
-  int simulated = 0;
-  int surrogate_priced = 0;
-  int cache_hits = 0;
-};
-
-// Grid search over (strategy shape × dp × stage→tier placement) on a
-// tiered fleet, ranked by `options.objective` (kIterationTime or
-// kDollarCost; kGoodput is not supported here and CHECK-fails). Unlike
-// the homogeneous search the layout need not cover the whole fleet: dp
-// runs over powers of two >= min_dp while the layout still fits, and
-// every placement from EnumeratePlacements that validates becomes a
-// candidate axis. With options.two_phase the grid is surrogate-priced in
-// parallel (SurrogatePricePlaced; thread-count-invariant winner — same
-// (score, grid order) ranking as the homogeneous driver) and the DES
-// runs only on the surrogate top-k. Clean-run only: a fault plan
-// CHECK-fails.
-FleetPlannerResult SearchBestFleetStrategy(Method method,
-                                           const model::TransformerConfig& config,
-                                           const hw::ClusterTopology& topology,
-                                           int global_batch,
-                                           const PlannerOptions& options = {});
-
-// Convenience: searches several methods and returns per-method winners.
-std::vector<PlannerResult> SearchMethods(const std::vector<Method>& methods,
-                                         const model::TransformerConfig& config,
-                                         const hw::ClusterSpec& cluster, int global_batch,
-                                         const PlannerOptions& options = {});
+// Former name of the topology search, kept for existing callers.
+inline PlannerResult SearchBestFleetStrategy(Method method,
+                                             const model::TransformerConfig& config,
+                                             const hw::ClusterTopology& topology,
+                                             int global_batch,
+                                             const PlannerOptions& options = {}) {
+  return SearchBestStrategy(method, config, topology, global_batch, options);
+}
 
 }  // namespace mepipe::core
 

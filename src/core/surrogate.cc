@@ -7,10 +7,8 @@
 #include <limits>
 
 #include "common/check.h"
-#include "common/format.h"
 #include "core/deployment.h"
 #include "sched/dependency.h"
-#include "sched/zbv.h"
 
 namespace mepipe::core {
 namespace {
@@ -377,9 +375,9 @@ TablePrice PriceScheduleTable(const sched::Schedule& schedule, const sim::CostMo
   return TableSim(schedule, costs, options).Run();
 }
 
-std::uint64_t CostModelFingerprint(const model::TransformerConfig& config,
-                                   const hw::ClusterSpec& cluster,
-                                   const IterationOptions& options) {
+std::uint64_t TopologyFingerprint(const model::TransformerConfig& config,
+                                  const hw::ClusterTopology& topology,
+                                  const IterationOptions& options) {
   Digest digest;
   // Model architecture.
   digest.Mix(config.name);
@@ -390,16 +388,28 @@ std::uint64_t CostModelFingerprint(const model::TransformerConfig& config,
   digest.Mix(config.kv_heads);
   digest.Mix(config.vocab);
   digest.Mix(config.seq_len);
-  // Cluster: GPU + fabric.
-  digest.Mix(cluster.nodes);
-  digest.Mix(cluster.gpus_per_node);
-  digest.Mix(cluster.gpu.name);
-  digest.Mix(cluster.gpu.memory_capacity);
-  digest.Mix(cluster.gpu.memory_reserved);
-  digest.Mix(cluster.gpu.peak_flops);
-  digest.Mix(cluster.gpu.matmul_derate);
-  MixLink(digest, cluster.intra_node);
-  MixLink(digest, cluster.inter_node);
+  // Fleet: every tier (GPU, shape, fabric, rental rate, region) and the
+  // inter-tier link matrix (bandwidth, latency, egress price).
+  digest.Mix(topology.num_tiers());
+  for (const hw::DeviceTier& tier : topology.tiers) {
+    digest.Mix(tier.name);
+    digest.Mix(tier.region);
+    digest.Mix(tier.nodes);
+    digest.Mix(tier.gpus_per_node);
+    digest.Mix(tier.usd_per_gpu_hour);
+    digest.Mix(tier.gpu.name);
+    digest.Mix(tier.gpu.memory_capacity);
+    digest.Mix(tier.gpu.memory_reserved);
+    digest.Mix(tier.gpu.peak_flops);
+    digest.Mix(tier.gpu.matmul_derate);
+    MixLink(digest, tier.intra_node);
+    MixLink(digest, tier.inter_node);
+  }
+  for (const hw::TierLink& link : topology.tier_links) {
+    MixLink(digest, link.link);
+    digest.Mix(link.usd_per_gb_egress);
+    digest.Mix(link.wan);
+  }
   // TrainingCostOptions. The efficiency curve's parameters are private;
   // probe it behaviorally at points that pin both the half-saturation
   // constant and its hidden-width scaling.
@@ -422,36 +432,6 @@ std::uint64_t CostModelFingerprint(const model::TransformerConfig& config,
   digest.Mix(options.dp_overlap);
   digest.Mix(options.synth_offset_radius);
   digest.Mix(options.synth_max_leaves);
-  return digest.state;
-}
-
-std::uint64_t TopologyFingerprint(const model::TransformerConfig& config,
-                                  const hw::ClusterTopology& topology,
-                                  const IterationOptions& options) {
-  // Reuse the homogeneous digest on the first tier's spec, then fold in
-  // every tier and the inter-tier link matrix.
-  Digest digest;
-  digest.Mix(CostModelFingerprint(config, topology.tiers.front().spec(), options));
-  digest.Mix(topology.num_tiers());
-  for (const hw::DeviceTier& tier : topology.tiers) {
-    digest.Mix(tier.name);
-    digest.Mix(tier.region);
-    digest.Mix(tier.nodes);
-    digest.Mix(tier.gpus_per_node);
-    digest.Mix(tier.usd_per_gpu_hour);
-    digest.Mix(tier.gpu.name);
-    digest.Mix(tier.gpu.memory_capacity);
-    digest.Mix(tier.gpu.memory_reserved);
-    digest.Mix(tier.gpu.peak_flops);
-    digest.Mix(tier.gpu.matmul_derate);
-    MixLink(digest, tier.intra_node);
-    MixLink(digest, tier.inter_node);
-  }
-  for (const hw::TierLink& link : topology.tier_links) {
-    MixLink(digest, link.link);
-    digest.Mix(link.usd_per_gb_egress);
-    digest.Mix(link.wan);
-  }
   return digest.state;
 }
 
@@ -559,8 +539,9 @@ void SurrogateCache::Clear() {
 }
 
 SurrogateResult SurrogatePrice(const model::TransformerConfig& config,
-                               const Strategy& strategy, const hw::ClusterSpec& cluster,
-                               int global_batch, const SurrogateOptions& options) {
+                               const Strategy& strategy, const hw::ClusterTopology& topology,
+                               const hw::StagePlacement& placement, int global_batch,
+                               const SurrogateOptions& options) {
   SurrogateKey key;
   if (options.cache != nullptr) {
     key.method = strategy.method;
@@ -572,62 +553,51 @@ SurrogateResult SurrogatePrice(const model::TransformerConfig& config,
     key.spp = strategy.spp;
     key.recompute = strategy.recompute;
     key.global_batch = global_batch;
-    key.fingerprint = CostModelFingerprint(config, cluster, options.iteration);
+    key.fingerprint = TopologyFingerprint(config, topology, options.iteration);
+    key.placement = placement.Hash();
     if (auto hit = options.cache->Lookup(key)) {
       hit->cache_hit = true;
       return *hit;
     }
   }
 
-  CandidateBuild build = BuildCandidate(config, strategy, cluster, global_batch,
-                                        options.iteration);
+  CandidateBuild build =
+      BuildCandidate(config, strategy, topology, placement, global_batch, options.iteration);
   SurrogateResult result;
   result.strategy = strategy;
+  result.placement = placement;
   if (!build.feasible) {
     result.note = std::move(build.note);
   } else {
     const TrainingCostModel& costs = *build.costs;
+    sim::CostModelStack stack(costs);
+    WrapPlacement(stack, build, topology);
     TableOptions table;
     table.wgrad_mode = build.wgrad_mode;
     table.activation_budget = build.activation_budget;
     table.dp_overlap = options.iteration.dp_overlap;
-    const TablePrice price = PriceScheduleTable(build.schedule, costs, table);
+    const TablePrice price = PriceScheduleTable(build.schedule, stack.model(), table);
 
     result.micros = build.micros;
     result.pipeline_time = price.makespan;
-    result.dp_sync_time =
-        options.iteration.dp_overlap ? price.dp_exposed : costs.DpSyncTime();
+    result.dp_sync_time = options.iteration.dp_overlap
+                              ? price.dp_exposed
+                              : SerializedDpSync(costs, topology, placement, build.plan);
     result.iteration_time =
         price.makespan + result.dp_sync_time + options.iteration.optimizer_step;
     result.bubble_ratio = price.bubble_ratio;
-    result.static_memory = costs.MaxStaticMemory();
-    result.peak_activation = price.peak_activation;
     result.checkpoint_shard = costs.CheckpointShardBytes();
-    Bytes peak = 0;
-    for (int stage = 0; stage < strategy.pp; ++stage) {
-      peak = std::max(peak, costs.StaticMemory(stage) +
-                                price.stage_peak_activation[static_cast<std::size_t>(stage)]);
-    }
-    if (strategy.method == Method::kZbvCapped) {
-      // Same honest-memory floor as SimulateIteration: the capped
-      // generator's release-on-B accounting under-reports the peak its
-      // deferred Ws actually hold (~A/2 artifact); floor at 1F1B parity
-      // so the surrogate and the simulator agree on memory feasibility.
-      const Bytes honest =
-          static_cast<Bytes>(sched::ZbvMaxRetainedForwards(strategy.pp, build.micros)) *
-          costs.PerForwardActivationBytes();
-      result.peak_activation = std::max(result.peak_activation, honest);
-      peak = std::max(peak, costs.MaxStaticMemory() + honest);
-    }
-    result.peak_memory = peak;
-    if (peak > cluster.gpu.usable_memory()) {
-      result.feasible = false;
-      result.note = StrFormat("OOM: peak %s > usable %s", FormatBytes(peak).c_str(),
-                              FormatBytes(cluster.gpu.usable_memory()).c_str());
-    } else {
-      result.feasible = true;
-      result.note = "ok";
-    }
+    StageMemoryVerdict memory = CheckStageMemory(build, topology, build.plan,
+                                                 price.stage_peak_activation,
+                                                 price.peak_activation);
+    result.static_memory = memory.static_memory;
+    result.peak_activation = memory.peak_activation;
+    result.peak_memory = memory.peak_memory;
+    result.feasible = memory.fits;
+    result.note = std::move(memory.note);
+    result.dollars = PriceDollarCost(
+        topology, strategy, placement, result.iteration_time,
+        WanEgressBytesPerIteration(config, strategy, placement, topology, global_batch));
   }
   if (options.cache != nullptr) {
     options.cache->Insert(key, result);
@@ -676,20 +646,23 @@ SurrogateGoodput ClosedFormGoodput(Seconds iteration_time, Bytes checkpoint_shar
 
 std::optional<Seconds> SurrogateLowerBound(const model::TransformerConfig& config,
                                            const Strategy& strategy,
-                                           const hw::ClusterSpec& cluster, int global_batch,
-                                           const IterationOptions& options) {
-  if (strategy.dp <= 0 || global_batch % strategy.dp != 0) {
+                                           const hw::ClusterTopology& topology,
+                                           const hw::StagePlacement& placement,
+                                           int global_batch, const IterationOptions& options) {
+  if (strategy.dp <= 0 || global_batch % strategy.dp != 0 ||
+      !strategy.layout().Validate(topology, placement).empty() ||
+      !UniformSpeed(topology, placement)) {
     return std::nullopt;
   }
-  sched::PipelineProblem problem;
-  problem.stages = strategy.pp;
-  problem.virtual_chunks = strategy.vp;
-  problem.slices = strategy.spp;
-  problem.micros = global_batch / strategy.dp;
-  problem.split_backward = MethodSplitsBackward(strategy.method);
+  hw::ClusterSpec reference;
+  std::string error;
+  if (!ReferenceSpec(topology, placement, strategy.layout().ranks(), &reference, &error)) {
+    return std::nullopt;
+  }
+  const sched::PipelineProblem problem = ProblemFor(strategy, global_batch);
   try {
     problem.Validate();
-    const TrainingCostModel costs(config, strategy, cluster, problem, options.cost);
+    const TrainingCostModel costs(config, strategy, reference, problem, options.cost);
 
     // Per-stage straggler windows from the plan (sorted, disjoint per
     // stage — FaultPlan::Validate enforces that). Fail-stops and link
@@ -758,7 +731,8 @@ std::optional<Seconds> SurrogateLowerBound(const model::TransformerConfig& confi
     }
     // Overlapped DP sync can hide in bubbles entirely, so only the
     // serialized sync adds to the bound.
-    const Seconds dp_sync = options.dp_overlap ? 0.0 : costs.DpSyncTime();
+    const Seconds dp_sync =
+        options.dp_overlap ? 0.0 : SerializedDpSync(costs, topology, placement, {});
     return bound + dp_sync + options.optimizer_step;
   } catch (const CheckError&) {
     return std::nullopt;  // let the full evaluation explain why

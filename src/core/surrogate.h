@@ -79,26 +79,25 @@ TablePrice PriceScheduleTable(const sched::Schedule& schedule, const sim::CostMo
 // ---- Cost-model fingerprint + pricing cache -------------------------------
 
 // Deterministic 64-bit digest of everything that determines a surrogate
-// price besides the strategy shape: the model architecture, the cluster
-// (GPU + links), TrainingCostOptions (efficiency curve probed
-// behaviorally), and the pricing-relevant IterationOptions (wgrad mode,
-// SVPP variant knobs, optimizer step, DP overlap). Fault plans and noise
-// are deliberately excluded — the surrogate prices the clean run.
-std::uint64_t CostModelFingerprint(const model::TransformerConfig& config,
-                                   const hw::ClusterSpec& cluster,
-                                   const IterationOptions& options);
-
-// Fleet analogue: digests every tier (GPU, shape, links, rental rate)
-// and the inter-tier link matrix (bandwidth, latency, egress price) on
-// top of the model/options digest, so heterogeneous-fleet prices never
-// collide with homogeneous ones or with differently-priced fleets.
+// price besides the strategy shape and placement: the model
+// architecture, every tier of the fleet (GPU, shape, links, rental rate,
+// region) and the inter-tier link matrix (bandwidth, latency, egress
+// price), TrainingCostOptions (efficiency curve probed behaviorally),
+// and the pricing-relevant IterationOptions (wgrad mode, SVPP variant
+// knobs, optimizer step, DP overlap). Fault plans and noise are
+// deliberately excluded — the surrogate prices the clean run.
 std::uint64_t TopologyFingerprint(const model::TransformerConfig& config,
                                   const hw::ClusterTopology& topology,
                                   const IterationOptions& options);
 
-// Cache key: (method, shape, batch, cost-model fingerprint, placement).
-// `placement` is 0 for homogeneous searches and StagePlacement::Hash()
-// for placed (heterogeneous-fleet) candidates.
+// One-tier form: the fingerprint of `cluster` as a one-tier topology.
+inline std::uint64_t CostModelFingerprint(const model::TransformerConfig& config,
+                                          const hw::ClusterSpec& cluster,
+                                          const IterationOptions& options) {
+  return TopologyFingerprint(config, hw::SingleTierTopology(cluster), options);
+}
+
+// Cache key: (method, shape, batch, fleet fingerprint, placement hash).
 struct SurrogateKey {
   Method method = Method::kSvpp;
   int pp = 1, dp = 1, cp = 1, tp = 1, vp = 1, spp = 1;
@@ -118,6 +117,7 @@ struct SurrogateKeyHash {
 // ranks on, nothing it renders.
 struct SurrogateResult {
   Strategy strategy;
+  hw::StagePlacement placement;
   bool feasible = false;
   std::string note;  // "ok", structural constraint, or OOM explanation
 
@@ -131,6 +131,7 @@ struct SurrogateResult {
   Bytes peak_activation = 0;
   Bytes peak_memory = 0;
   Bytes checkpoint_shard = 0;
+  DollarCostBreakdown dollars;  // rental + egress at iteration_time
 
   bool cache_hit = false;  // served from a SurrogateCache
 };
@@ -202,12 +203,23 @@ struct SurrogateOptions {
   SurrogateCache* cache = nullptr;
 };
 
-// Builds the candidate (core::BuildCandidate) and prices it with the
-// tabular pass. Infeasible candidates return feasible=false with the
-// structural or OOM note, mirroring SimulateIteration.
+// Builds the placed candidate (core::BuildCandidate) and prices it with
+// the tabular pass, through the same placement re-pricing and per-stage
+// memory verdict as SimulateIteration. Infeasible candidates return
+// feasible=false with the structural or OOM note, mirroring
+// SimulateIteration. Cacheable through SurrogateOptions::cache.
 SurrogateResult SurrogatePrice(const model::TransformerConfig& config,
-                               const Strategy& strategy, const hw::ClusterSpec& cluster,
-                               int global_batch, const SurrogateOptions& options = {});
+                               const Strategy& strategy, const hw::ClusterTopology& topology,
+                               const hw::StagePlacement& placement, int global_batch,
+                               const SurrogateOptions& options = {});
+
+// One-tier form: `strategy` on the whole of `cluster`.
+inline SurrogateResult SurrogatePrice(const model::TransformerConfig& config,
+                                      const Strategy& strategy, const hw::ClusterSpec& cluster,
+                                      int global_batch, const SurrogateOptions& options = {}) {
+  return SurrogatePrice(config, strategy, hw::SingleTierTopology(cluster),
+                        hw::StagePlacement::Uniform(strategy.pp, 0), global_batch, options);
+}
 
 // ---- Closed-form goodput --------------------------------------------------
 
@@ -237,14 +249,18 @@ SurrogateGoodput ClosedFormGoodput(Seconds iteration_time, Bytes checkpoint_shar
 // bound inverts each stage's work-capacity function over the plan's
 // windows. Fail-stops and link faults only add time and are ignored, so
 // the bound stays sound. Clean runs reduce to the compute-only bound
-// (busiest stage + serialized DP sync + optimizer step). Returns nullopt
-// when the strategy is structurally inapplicable. Not valid under
-// straggler rebalancing (search_rebalanced), which moves work across
-// stages.
+// (busiest stage + serialized DP sync + optimizer step). Stages are
+// taken from ProblemFor, so V-shape methods count the chunks each stage
+// really hosts. Returns nullopt when the strategy is structurally
+// inapplicable or the placement's tiers differ in speed (its layer
+// re-partition moves work across stages, which no per-stage bound
+// survives). Not valid under straggler rebalancing (search_rebalanced)
+// for the same reason.
 std::optional<Seconds> SurrogateLowerBound(const model::TransformerConfig& config,
                                            const Strategy& strategy,
-                                           const hw::ClusterSpec& cluster, int global_batch,
-                                           const IterationOptions& options);
+                                           const hw::ClusterTopology& topology,
+                                           const hw::StagePlacement& placement,
+                                           int global_batch, const IterationOptions& options);
 
 }  // namespace mepipe::core
 

@@ -33,6 +33,31 @@ std::string Strategy::ToString() const {
   return out + ")";
 }
 
+bool MethodSplitsBackward(Method method) {
+  return method == Method::kZb1p || method == Method::kZbv || method == Method::kZbvCapped ||
+         method == Method::kSvpp || method == Method::kSynth;
+}
+
+bool MethodUsesSlices(Method method) {
+  return method == Method::kSvpp || method == Method::kTeraPipe;
+}
+
+sched::PipelineProblem ProblemFor(const Strategy& strategy, int global_batch) {
+  MEPIPE_CHECK_GE(strategy.dp, 1) << "a pipeline problem needs at least one replica";
+  sched::PipelineProblem problem;
+  problem.stages = strategy.pp;
+  problem.virtual_chunks = strategy.vp;
+  problem.slices = strategy.spp;
+  problem.micros = global_batch / strategy.dp;
+  problem.split_backward = MethodSplitsBackward(strategy.method);
+  if (strategy.method == Method::kZbv || strategy.method == Method::kZbvCapped ||
+      strategy.method == Method::kHanayo ||
+      (strategy.method == Method::kSynth && strategy.vp == 2)) {
+    problem.placement = sched::ChunkPlacement::kVShape;
+  }
+  return problem;
+}
+
 TrainingCostModel::TrainingCostModel(const model::TransformerConfig& config,
                                      const Strategy& strategy, const hw::ClusterSpec& cluster,
                                      const sched::PipelineProblem& problem,
@@ -317,19 +342,6 @@ Bytes TrainingCostModel::CheckpointStateBytes() const {
     total += params + param_count * options_.memory.optimizer_bytes_per_param;
   }
   return total;
-}
-
-Seconds TrainingCostModel::DpSyncTime() const {
-  Seconds worst = 0;
-  for (const Bytes params : param_bytes_per_stage_) {
-    worst = std::max(worst, comm_.DpGradientSync(params, strategy_.layout()));
-  }
-  return worst;
-}
-
-Seconds TrainingCostModel::StageDpSyncTime(int stage) const {
-  return comm_.DpGradientSync(param_bytes_per_stage_[static_cast<std::size_t>(stage)],
-                              strategy_.layout());
 }
 
 Bytes TrainingCostModel::StageParamBytes(int stage) const {

@@ -37,6 +37,20 @@ struct Strategy {
   std::string ToString() const;
 };
 
+// Whether `method` schedules B and W as separate ops (zero-bubble family
+// and MEPipe) — fixed properties of the method the planner and the
+// surrogate both key decisions off.
+bool MethodSplitsBackward(Method method);
+// Whether `method`'s slice axis is SPP (sequence pipeline) rather than CP.
+bool MethodUsesSlices(Method method);
+
+// The pipeline problem `strategy` implies at `global_batch` samples: pp
+// stages of vp chunks (V-shape placement for ZBV, Hanayo and v=2
+// Synth), spp slices, global_batch/dp micro-batches per replica, and the
+// method's B/W split. The one derivation candidate construction, WAN
+// egress billing and SurrogateLowerBound share. Requires dp >= 1.
+sched::PipelineProblem ProblemFor(const Strategy& strategy, int global_batch);
+
 struct TrainingCostOptions {
   hw::EfficiencyModel efficiency;
   // Fixed per-op host/launch overhead (framework dispatch, NCCL enqueue).
@@ -77,11 +91,6 @@ class TrainingCostModel : public sim::CostModel {
   Bytes MaxStaticMemory() const;
   // Per-stage static + temporary memory.
   Bytes StaticMemory(int stage) const;
-  // Worst-stage data-parallel gradient/optimizer synchronization time as
-  // one monolithic collective (the serialized-after-flush baseline).
-  // Bucketing pays the per-collective latency once per chunk, so the
-  // summed bucket costs of a stage are >= this.
-  Seconds DpSyncTime() const;
   // Activation bytes retained by a single forward pass on the
   // worst (most-loaded) chunk — the unit the §4.5 variant selector
   // divides the remaining memory budget by.
@@ -96,10 +105,9 @@ class TrainingCostModel : public sim::CostModel {
   Bytes CheckpointShardBytes() const;
   Bytes CheckpointStateBytes() const;
 
-  // Per-stage / per-chunk decompositions of the summaries above, used by
-  // the heterogeneous-fleet wrapper (core/fleet) to re-price one stage's
-  // traffic on the fabric of the tier that hosts it.
-  Seconds StageDpSyncTime(int stage) const;  // monolithic sync of one stage
+  // Per-stage / per-chunk parameter volumes, from which core/fleet's
+  // SerializedDpSync prices the monolithic (serialized-after-flush) DP
+  // sync of each stage on the fabric of the tier that hosts it.
   Bytes StageParamBytes(int stage) const;
   Bytes ChunkParamBytes(int chunk) const;
   // Pipeline boundary tensor volume of one slice (activations forward,

@@ -17,123 +17,130 @@ LinkSpec Shared(LinkSpec link, int streams) {
 
 LinkSpec Loopback() { return {"loopback", 1e15, 0.0}; }
 
-// Lightweight non-owning view of one homogeneous fabric (a ClusterSpec or
-// one DeviceTier). All dimension→link logic lives on this view so the
-// legacy shims and ClusterTopology::LinkFor share one implementation
-// without copying specs per query.
-struct FabricView {
-  int nodes = 0;
-  int gpus_per_node = 0;
-  const LinkSpec* intra = nullptr;
-  const LinkSpec* inter = nullptr;
-
-  int world() const { return nodes * gpus_per_node; }
-};
-
-FabricView ViewOf(const ClusterSpec& c) {
-  return {c.nodes, c.gpus_per_node, &c.intra_node, &c.inter_node};
-}
-
-FabricView ViewOf(const DeviceTier& t) {
-  return {t.nodes, t.gpus_per_node, &t.intra_node, &t.inter_node};
-}
-
-// Pipeline p2p link on one fabric. `host_stages` is how many consecutive
-// stages this fabric hosts (layout.pp when it hosts the whole pipeline).
-// The stage stride equals the per-stage rank group dp·cp·tp, which for a
-// full-cover layout is exactly world/pp — the legacy formula.
-LinkSpec PipelineLinkOn(const FabricView& v, const ParallelLayout& layout, int host_stages) {
+// Pipeline p2p link on one tier's fabric. `host_stages` is how many
+// consecutive stages the tier hosts (layout.pp when it hosts the whole
+// pipeline). The stage stride is the per-stage rank group dp·cp·tp,
+// which for a full-cover layout is exactly world/pp.
+LinkSpec PipelineLinkOn(const DeviceTier& tier, const ParallelLayout& layout, int host_stages) {
   if (layout.pp == 1) {
     return Loopback();
   }
   const int stride = layout.dp * layout.cp * layout.tp;  // ranks between stages
-  if (stride >= v.gpus_per_node) {
+  if (stride >= tier.gpus_per_node) {
     // Every boundary crosses nodes; all per-node streams share the NIC.
-    return Shared(*v.inter, v.gpus_per_node);
+    return Shared(tier.inter_node, tier.gpus_per_node);
   }
   // A node holds several stages. The worst (steady-state critical) boundary
   // is still the inter-node one, shared by `stride` concurrent streams.
-  if (v.nodes > 1 && host_stages * stride > v.gpus_per_node) {
-    return Shared(*v.inter, stride);
+  if (tier.nodes > 1 && host_stages * stride > tier.gpus_per_node) {
+    return Shared(tier.inter_node, stride);
   }
-  return *v.intra;
+  return tier.intra_node;
 }
 
-LinkSpec ContextLinkOn(const FabricView& v, const ParallelLayout& layout) {
+LinkSpec ContextLinkOn(const DeviceTier& tier, const ParallelLayout& layout) {
   if (layout.cp == 1) {
     return Loopback();
   }
   const int group_span = layout.cp * layout.tp;  // contiguous innermost ranks
-  if (group_span <= v.gpus_per_node) {
-    return *v.intra;
+  if (group_span <= tier.gpus_per_node) {
+    return tier.intra_node;
   }
-  return Shared(*v.inter, v.gpus_per_node);
+  return Shared(tier.inter_node, tier.gpus_per_node);
 }
 
-LinkSpec DataLinkOn(const FabricView& v, const ParallelLayout& layout) {
+LinkSpec DataLinkOn(const DeviceTier& tier, const ParallelLayout& layout) {
   if (layout.dp * layout.cp == 1) {
     return Loopback();
   }
   const int group_span = layout.dp * layout.cp * layout.tp;
-  if (group_span <= v.gpus_per_node) {
-    return *v.intra;
+  if (group_span <= tier.gpus_per_node) {
+    return tier.intra_node;
   }
   // A ring over a contiguous multi-node block crosses each node's NIC
   // once per direction; only the cp·tp rings interleaved within the same
   // block contend for it (the intra-node hops ride the faster fabric).
-  return Shared(*v.inter, layout.cp * layout.tp);
+  return Shared(tier.inter_node, layout.cp * layout.tp);
 }
 
-LinkSpec TensorLinkOn(const FabricView& v, const ParallelLayout& layout) {
+LinkSpec TensorLinkOn(const DeviceTier& tier, const ParallelLayout& layout) {
   if (layout.tp == 1) {
     return Loopback();
   }
-  if (layout.tp <= v.gpus_per_node) {
-    return *v.intra;
+  if (layout.tp <= tier.gpus_per_node) {
+    return tier.intra_node;
   }
-  return Shared(*v.inter, v.gpus_per_node);
+  return Shared(tier.inter_node, tier.gpus_per_node);
 }
 
-LinkSpec LinkOn(const FabricView& v, Dim dim, const ParallelLayout& layout, int host_stages) {
+LinkSpec LinkOn(const DeviceTier& tier, Dim dim, const ParallelLayout& layout, int host_stages) {
   switch (dim) {
     case Dim::kPipeline:
-      return PipelineLinkOn(v, layout, host_stages);
+      return PipelineLinkOn(tier, layout, host_stages);
     case Dim::kContext:
-      return ContextLinkOn(v, layout);
+      return ContextLinkOn(tier, layout);
     case Dim::kData:
-      return DataLinkOn(v, layout);
+      return DataLinkOn(tier, layout);
     case Dim::kTensor:
-      return TensorLinkOn(v, layout);
+      return TensorLinkOn(tier, layout);
   }
   MEPIPE_CHECK(false) << "unknown Dim";
   return Loopback();
 }
 
-FabricShareMap SharesOn(const FabricView& v, const ParallelLayout& layout, int host_stages) {
+FabricShareMap SharesOn(const DeviceTier& tier, const ParallelLayout& layout, int host_stages) {
   FabricShareMap map;
-  map.through_host_intra = v.intra->through_host;
+  map.through_host_intra = tier.intra_node.through_host;
   if (layout.pp > 1) {
     const int stride = layout.dp * layout.cp * layout.tp;
-    const bool pp_inter =
-        stride >= v.gpus_per_node || (v.nodes > 1 && host_stages * stride > v.gpus_per_node);
+    const bool pp_inter = stride >= tier.gpus_per_node ||
+                          (tier.nodes > 1 && host_stages * stride > tier.gpus_per_node);
     map.fabric[static_cast<int>(Dim::kPipeline)] =
         pp_inter ? FabricClass::kInterNode : FabricClass::kIntraNode;
   }
   if (layout.cp > 1) {
-    map.fabric[static_cast<int>(Dim::kContext)] = layout.cp * layout.tp <= v.gpus_per_node
+    map.fabric[static_cast<int>(Dim::kContext)] = layout.cp * layout.tp <= tier.gpus_per_node
                                                       ? FabricClass::kIntraNode
                                                       : FabricClass::kInterNode;
   }
   if (layout.dp * layout.cp > 1) {
     map.fabric[static_cast<int>(Dim::kData)] =
-        layout.dp * layout.cp * layout.tp > v.gpus_per_node ? FabricClass::kInterNode
-                                                            : FabricClass::kIntraNode;
+        layout.dp * layout.cp * layout.tp > tier.gpus_per_node ? FabricClass::kInterNode
+                                                               : FabricClass::kIntraNode;
   }
   if (layout.tp > 1) {
     map.fabric[static_cast<int>(Dim::kTensor)] =
-        layout.tp <= v.gpus_per_node ? FabricClass::kIntraNode : FabricClass::kInterNode;
+        layout.tp <= tier.gpus_per_node ? FabricClass::kIntraNode : FabricClass::kInterNode;
   }
   return map;
+}
+
+DeviceTier TierOf(const ClusterSpec& spec, std::string name, double usd_per_gpu_hour,
+                  std::string region) {
+  DeviceTier t;
+  t.name = std::move(name);
+  t.gpu = spec.gpu;
+  t.nodes = spec.nodes;
+  t.gpus_per_node = spec.gpus_per_node;
+  t.intra_node = spec.intra_node;
+  t.inter_node = spec.inter_node;
+  t.usd_per_gpu_hour = usd_per_gpu_hour;
+  t.region = std::move(region);
+  return t;
+}
+
+LayoutIssue WorldMismatch(int ranks, int world) {
+  return {LayoutIssue::Code::kWorldMismatch, 0,
+          "layout covers " + std::to_string(ranks) + " ranks, cluster has " +
+              std::to_string(world)};
+}
+
+// Stages `tier` could host back to back (layout.pp when it covers the
+// whole layout); caps the NIC-contention condition when a tier holds
+// only part of the pipeline.
+int HostStages(const DeviceTier& tier, const ParallelLayout& layout) {
+  const int stride = layout.dp * layout.cp * layout.tp;
+  return std::max(1, std::min(layout.pp, tier.world_size() / std::max(1, stride)));
 }
 
 // Worse = slower for a representative 1 MiB message; ties break toward
@@ -313,28 +320,14 @@ double ClusterTopology::TierSlowdown(int i) const {
 }
 
 LinkSpec ClusterTopology::LinkForOnTier(Dim dim, const ParallelLayout& layout, int t) const {
-  const DeviceTier& tr = tier(t);
-  const int stride = layout.dp * layout.cp * layout.tp;
-  // Stages this tier could host back to back; caps the NIC-contention
-  // condition when a tier holds only part of the pipeline.
-  const int host_stages =
-      std::max(1, std::min(layout.pp, tr.world_size() / std::max(1, stride)));
-  return LinkOn(ViewOf(tr), dim, layout, host_stages);
+  return LinkOn(tier(t), dim, layout, HostStages(tier(t), layout));
 }
 
 LinkSpec ClusterTopology::LinkFor(Dim dim, const ParallelLayout& layout) const {
   MEPIPE_CHECK(!tiers.empty());
-  if (num_tiers() == 1) {
-    if (dim == Dim::kPipeline) {
-      MEPIPE_CHECK_EQ(layout.ranks(), world_size()) << "layout must cover the whole cluster";
-      if (layout.pp == 1) {
-        return Loopback();
-      }
-      return LinkOn(ViewOf(tiers.front()), dim, layout, layout.pp);
-    }
-    return LinkOn(ViewOf(tiers.front()), dim, layout, layout.pp);
-  }
-  if (dim == Dim::kPipeline) {
+  if (dim == Dim::kPipeline && num_tiers() == 1) {
+    MEPIPE_CHECK_EQ(layout.ranks(), world_size()) << "layout must cover the whole cluster";
+  } else if (dim == Dim::kPipeline) {
     if (layout.pp == 1) {
       return Loopback();
     }
@@ -352,8 +345,9 @@ LinkSpec ClusterTopology::LinkFor(Dim dim, const ParallelLayout& layout) const {
     }
     return Shared(*worst, layout.dp * layout.cp * layout.tp);
   }
-  // Intra-stage dimensions live inside one tier; report the worst tier's
-  // mapping so fleet-wide estimates stay conservative.
+  // The tier's own mapping; on several tiers, intra-stage dimensions live
+  // inside one tier, so report the worst tier's mapping to keep fleet-wide
+  // estimates conservative.
   LinkSpec worst = LinkForOnTier(dim, layout, 0);
   for (int t = 1; t < num_tiers(); ++t) {
     LinkSpec candidate = LinkForOnTier(dim, layout, t);
@@ -366,16 +360,9 @@ LinkSpec ClusterTopology::LinkFor(Dim dim, const ParallelLayout& layout) const {
 
 FabricShareMap ClusterTopology::FabricShares(const ParallelLayout& layout) const {
   MEPIPE_CHECK(!tiers.empty());
-  if (num_tiers() == 1) {
-    return SharesOn(ViewOf(tiers.front()), layout, layout.pp);
-  }
   FabricShareMap merged;
-  for (int t = 0; t < num_tiers(); ++t) {
-    const DeviceTier& tr = tier(t);
-    const int stride = layout.dp * layout.cp * layout.tp;
-    const int host_stages =
-        std::max(1, std::min(layout.pp, tr.world_size() / std::max(1, stride)));
-    const FabricShareMap map = SharesOn(ViewOf(tr), layout, host_stages);
+  for (const DeviceTier& tr : tiers) {
+    const FabricShareMap map = SharesOn(tr, layout, HostStages(tr, layout));
     for (int d = 0; d < 4; ++d) {
       merged.fabric[d] = std::max(merged.fabric[d], map.fabric[d]);
     }
@@ -394,62 +381,16 @@ FabricShareMap ClusterTopology::FabricShares(const ParallelLayout& layout) const
   return merged;
 }
 
-std::vector<LayoutIssue> ParallelLayout::Validate(const ClusterTopology& topology) const {
-  std::vector<LayoutIssue> issues;
-  if (pp < 1 || dp < 1 || cp < 1 || tp < 1) {
-    issues.push_back({LayoutIssue::Code::kEmptyLayout, -1,
-                      "all layout factors must be >= 1"});
-    return issues;
-  }
-  if (topology.num_tiers() == 1) {
-    if (ranks() != topology.world_size()) {
-      issues.push_back({LayoutIssue::Code::kWorldMismatch, 0,
-                        "layout covers " + std::to_string(ranks()) + " ranks, cluster has " +
-                            std::to_string(topology.world_size())});
-    }
-  } else {
-    if (ranks() > topology.world_size()) {
-      issues.push_back({LayoutIssue::Code::kRankOversubscription, -1,
-                        "layout needs " + std::to_string(ranks()) + " ranks, fleet has " +
-                            std::to_string(topology.world_size())});
-    }
-    const int group = dp * cp * tp;
-    bool fits_somewhere = false;
-    for (const DeviceTier& t : topology.tiers) {
-      if (t.world_size() >= group) {
-        fits_somewhere = true;
-        break;
-      }
-    }
-    if (!fits_somewhere) {
-      issues.push_back({LayoutIssue::Code::kRankOversubscription, -1,
-                        "stage group of " + std::to_string(group) +
-                            " ranks exceeds every tier's capacity"});
-    }
-  }
-  if (tp > 1) {
-    bool any_premium = false;
-    for (const DeviceTier& t : topology.tiers) {
-      if (!t.consumer_fabric()) {
-        any_premium = true;
-        break;
-      }
-    }
-    if (!any_premium) {
-      issues.push_back({LayoutIssue::Code::kTensorParallelOnConsumerTier, -1,
-                        "tp=" + std::to_string(tp) +
-                            " but every tier has a through-host intra-node fabric"});
-    }
-  }
-  return issues;
-}
-
 std::vector<LayoutIssue> ParallelLayout::Validate(const ClusterTopology& topology,
                                                   const StagePlacement& placement) const {
   std::vector<LayoutIssue> issues;
   if (pp < 1 || dp < 1 || cp < 1 || tp < 1) {
     issues.push_back({LayoutIssue::Code::kEmptyLayout, -1,
                       "all layout factors must be >= 1"});
+    return issues;
+  }
+  if (topology.num_tiers() == 1 && ranks() != topology.world_size()) {
+    issues.push_back(WorldMismatch(ranks(), topology.world_size()));
     return issues;
   }
   if (placement.stages() != pp) {
@@ -526,46 +467,13 @@ ClusterTopology CarveSubTopology(const ClusterTopology& fleet,
 ClusterTopology SingleTierTopology(const ClusterSpec& spec, double usd_per_gpu_hour,
                                    std::string region, std::string name) {
   ClusterTopology topo;
-  DeviceTier t;
-  t.name = std::move(name);
-  t.gpu = spec.gpu;
-  t.nodes = spec.nodes;
-  t.gpus_per_node = spec.gpus_per_node;
-  t.intra_node = spec.intra_node;
-  t.inter_node = spec.inter_node;
-  t.usd_per_gpu_hour = usd_per_gpu_hour;
-  t.region = std::move(region);
-  topo.tiers.push_back(std::move(t));
+  topo.tiers.push_back(TierOf(spec, std::move(name), usd_per_gpu_hour, std::move(region)));
   return topo;
 }
 
-DeviceTier Rtx4090Tier() {
-  const ClusterSpec spec = Rtx4090Cluster();
-  DeviceTier t;
-  t.name = "rtx4090";
-  t.gpu = spec.gpu;
-  t.nodes = spec.nodes;
-  t.gpus_per_node = spec.gpus_per_node;
-  t.intra_node = spec.intra_node;
-  t.inter_node = spec.inter_node;
-  t.usd_per_gpu_hour = 0.35;
-  t.region = "consumer-dc";
-  return t;
-}
+DeviceTier Rtx4090Tier() { return TierOf(Rtx4090Cluster(), "rtx4090", 0.35, "consumer-dc"); }
 
-DeviceTier A100Tier() {
-  const ClusterSpec spec = A100Cluster();
-  DeviceTier t;
-  t.name = "a100";
-  t.gpu = spec.gpu;
-  t.nodes = spec.nodes;
-  t.gpus_per_node = spec.gpus_per_node;
-  t.intra_node = spec.intra_node;
-  t.inter_node = spec.inter_node;
-  t.usd_per_gpu_hour = 1.90;
-  t.region = "premium-dc";
-  return t;
-}
+DeviceTier A100Tier() { return TierOf(A100Cluster(), "a100", 1.90, "premium-dc"); }
 
 TierLink WanLink(double gbps, double usd_per_gb) {
   TierLink l;
@@ -586,32 +494,6 @@ TierLink LanLink(const LinkSpec& link) {
   l.usd_per_gb_egress = 0.0;
   l.wan = false;
   return l;
-}
-
-LinkSpec PipelineP2pLink(const ClusterSpec& cluster, const ParallelLayout& layout) {
-  // Shim over the shared single-tier mapping (ClusterTopology::LinkFor).
-  MEPIPE_CHECK_EQ(layout.ranks(), cluster.world_size())
-      << "layout must cover the whole cluster";
-  if (layout.pp == 1) {
-    return Loopback();
-  }
-  return PipelineLinkOn(ViewOf(cluster), layout, layout.pp);
-}
-
-LinkSpec ContextParallelLink(const ClusterSpec& cluster, const ParallelLayout& layout) {
-  return ContextLinkOn(ViewOf(cluster), layout);
-}
-
-LinkSpec DataParallelLink(const ClusterSpec& cluster, const ParallelLayout& layout) {
-  return DataLinkOn(ViewOf(cluster), layout);
-}
-
-LinkSpec TensorParallelLink(const ClusterSpec& cluster, const ParallelLayout& layout) {
-  return TensorLinkOn(ViewOf(cluster), layout);
-}
-
-bool DpSharesPipelineFabric(const ClusterSpec& cluster, const ParallelLayout& layout) {
-  return SharesOn(ViewOf(cluster), layout, layout.pp).Shares(Dim::kData, Dim::kPipeline);
 }
 
 }  // namespace mepipe::hw

@@ -6,13 +6,13 @@
 // testbed (8 nodes × 8 RTX 4090, pp=8) every pipeline boundary crosses
 // nodes and all eight per-node streams share one 100 Gb/s NIC.
 //
-// Two levels of description coexist:
-//  - `ClusterSpec`: one homogeneous fleet (the original API, unchanged).
-//  - `ClusterTopology`: a fleet of `DeviceTier`s (GPU spec, count, rental
-//    price, region) joined by typed `TierLink`s (LAN vs WAN, $/GB egress).
-//    `SingleTierTopology(spec)` embeds a ClusterSpec as the one-tier
-//    special case; every dimension→link query on it is bit-identical to
-//    the legacy free functions, which survive as thin delegating shims.
+// A `ClusterTopology` is the one description of a fleet: `DeviceTier`s
+// (GPU spec, count, rental price, region) joined by typed `TierLink`s
+// (LAN vs WAN, $/GB egress). A homogeneous cluster is the one-tier case,
+// `SingleTierTopology(spec)`. `ClusterSpec` describes a single tier — the
+// paper testbeds and the reference sub-cluster a candidate's costs are
+// built on — and every dimension→link query goes through
+// `ClusterTopology::LinkFor` / `FabricShares`.
 #ifndef MEPIPE_HW_CLUSTER_H_
 #define MEPIPE_HW_CLUSTER_H_
 
@@ -56,12 +56,15 @@ struct ParallelLayout {
 
   int ranks() const { return pp * dp * cp * tp; }
 
-  // Structured feasibility checks, replacing the ad-hoc divisibility and
-  // capacity tests previously inlined in planner grid enumeration and
-  // elastic re-plans. Empty result ⇔ the layout is admissible on the
-  // topology. The placement overload additionally checks the per-tier
-  // rank budget and flags tp>1 on consumer (through-host fabric) tiers.
-  std::vector<LayoutIssue> Validate(const ClusterTopology& topology) const;
+  // Structured feasibility check of this layout with its stages placed
+  // on `topology`, for planner grid enumeration, candidate construction
+  // and elastic re-plans. Empty result ⇔ admissible. The rule that fixes
+  // the planner's dp axis:
+  //  - one tier: the layout covers the whole topology (ranks == world);
+  //  - several tiers: every tier hosts at most its own rank count.
+  // Also flags a malformed placement and tp>1 on consumer (through-host
+  // fabric) tiers — a search-space restriction (§7.1) the engine itself
+  // can still price.
   std::vector<LayoutIssue> Validate(const ClusterTopology& topology,
                                     const StagePlacement& placement) const;
 };
@@ -75,9 +78,9 @@ const char* DimName(Dim dim);
 enum class FabricClass : std::uint8_t { kLoopback = 0, kIntraNode = 1, kInterNode = 2, kWan = 3 };
 
 // Per-dimension fabric assignment plus the contention predicate between
-// dimensions. `Shares(kData, kPipeline)` reproduces the legacy
-// `DpSharesPipelineFabric` exactly: no contention when either side is
-// loopback; same fabric tier always contends; split tiers contend iff
+// dimensions. `Shares(kData, kPipeline)` decides whether overlapped DP
+// sync must yield to pipeline transfers: no contention when either side
+// is loopback; same fabric tier always contends; split tiers contend iff
 // the intra-node fabric is through-host (PCIe-class), because NIC DMA
 // then crosses the same root complex — the §3 single-fabric property of
 // cost-effective clusters. NVLink-class intra fabrics bypass the host.
@@ -159,8 +162,8 @@ struct LayoutIssue {
 
 const char* LayoutIssueCodeName(LayoutIssue::Code code);
 
-// A fleet of device tiers plus the inter-tier link matrix. The one-tier
-// case reproduces the legacy ClusterSpec mapping bit-identically.
+// A fleet of device tiers plus the inter-tier link matrix. A homogeneous
+// cluster is the one-tier case (SingleTierTopology).
 struct ClusterTopology {
   std::vector<DeviceTier> tiers;
   // Symmetric tier×tier matrix (row-major, diagonal unused). Filled by
@@ -181,11 +184,11 @@ struct ClusterTopology {
   // ≥ 1: how much slower tier i's device is than the fastest tier's.
   double TierSlowdown(int i) const;
 
-  // Effective link for one dimension of `layout`, collapsing the four
-  // legacy free-function helpers. Single-tier: bit-identical to
-  // PipelineP2pLink / ContextParallelLink / DataParallelLink /
-  // TensorParallelLink. Multi-tier: intra-stage dimensions (cp/dp/tp)
-  // take the worst per-tier mapping; kPipeline conservatively reports
+  // Effective link for one dimension of `layout`, accounting for NIC
+  // sharing by co-located concurrent streams. Single-tier: the tier's
+  // own mapping (kPipeline requires the layout to cover the tier).
+  // Multi-tier: intra-stage dimensions (cp/dp/tp) take the worst
+  // per-tier mapping; kPipeline conservatively reports
   // the slowest inter-tier link shared by the dp·cp·tp concurrent
   // boundary streams (per-boundary placement-aware pricing lives in
   // CommModel::PipelineP2pAcross).
@@ -234,30 +237,6 @@ DeviceTier A100Tier();     // 4×8, NVLink + IB-800G, ~$1.90/GPU-hr
 TierLink WanLink(double gbps, double usd_per_gb);
 // Same-campus cross-tier LAN (no egress billing).
 TierLink LanLink(const LinkSpec& link);
-
-// ---------------------------------------------------------------------
-// Legacy accessors, kept as thin shims over ClusterTopology::LinkFor /
-// FabricShares so existing call sites and snapshots stay bit-identical.
-// ---------------------------------------------------------------------
-
-// Effective link for one pipeline p2p stream between adjacent stages,
-// accounting for NIC sharing by co-located concurrent streams.
-LinkSpec PipelineP2pLink(const ClusterSpec& cluster, const ParallelLayout& layout);
-
-// Effective link for context-parallel collectives (KV ring exchange).
-LinkSpec ContextParallelLink(const ClusterSpec& cluster, const ParallelLayout& layout);
-
-// Effective link for data-parallel gradient/optimizer collectives.
-LinkSpec DataParallelLink(const ClusterSpec& cluster, const ParallelLayout& layout);
-
-// Effective link for tensor-parallel activations (A100 only in practice).
-LinkSpec TensorParallelLink(const ClusterSpec& cluster, const ParallelLayout& layout);
-
-// Whether the DP gradient ring and the pipeline p2p stream of one device
-// contend for the same physical fabric, so overlapped DP sync must yield
-// to in-flight pipeline transfers (sim::EngineOptions::dp_link_shared).
-// Shim over FabricShareMap::Shares(kData, kPipeline).
-bool DpSharesPipelineFabric(const ClusterSpec& cluster, const ParallelLayout& layout);
 
 }  // namespace mepipe::hw
 

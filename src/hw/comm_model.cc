@@ -19,7 +19,6 @@ LinkSpec ShareBandwidth(LinkSpec link, int streams) {
 CommModel::CommModel(ClusterTopology topology, StagePlacement placement)
     : topology_(std::move(topology)), placement_(std::move(placement)) {
   MEPIPE_CHECK(!topology_.tiers.empty());
-  cluster_ = topology_.tiers.front().spec();
 }
 
 Seconds CommModel::PipelineP2p(Bytes bytes, const ParallelLayout& layout) const {

@@ -2,11 +2,11 @@
 // collectives (all-reduce / all-gather / reduce-scatter) that DP, CP and
 // TP issue. All costs are α-β style: per-step latency + volume/bandwidth.
 //
-// A CommModel is built either from one homogeneous ClusterSpec (legacy,
-// bit-identical behavior) or from a ClusterTopology plus a stage→tier
-// StagePlacement, in which case pipeline boundaries that cross tiers are
-// priced on the inter-tier (possibly WAN) link and DP rings on the
-// hosting tier's fabric.
+// A CommModel prices traffic on a ClusterTopology. With a stage→tier
+// StagePlacement, pipeline boundaries that cross tiers are priced on the
+// inter-tier (possibly WAN) link and DP rings on the hosting tier's
+// fabric; without one (a single ClusterSpec, embedded as its one-tier
+// topology) every query takes the fleet-wide mapping.
 #ifndef MEPIPE_HW_COMM_MODEL_H_
 #define MEPIPE_HW_COMM_MODEL_H_
 
@@ -20,14 +20,9 @@ namespace mepipe::hw {
 
 class CommModel {
  public:
-  explicit CommModel(const ClusterSpec& cluster)
-      : topology_(SingleTierTopology(cluster)), cluster_(cluster) {}
+  explicit CommModel(const ClusterSpec& cluster) : topology_(SingleTierTopology(cluster)) {}
 
   CommModel(ClusterTopology topology, StagePlacement placement);
-
-  const ClusterSpec& cluster() const { return cluster_; }
-  const ClusterTopology& topology() const { return topology_; }
-  const StagePlacement& placement() const { return placement_; }
 
   // One pipeline activation/gradient transfer between adjacent stages
   // (fleet-wide worst boundary; see PipelineP2pAcross for per-boundary).
@@ -69,7 +64,6 @@ class CommModel {
  private:
   ClusterTopology topology_;
   StagePlacement placement_;  // empty when constructed from a ClusterSpec
-  ClusterSpec cluster_;       // tier-0 view, kept for legacy accessors
 };
 
 }  // namespace mepipe::hw

@@ -148,7 +148,6 @@ TEST(ClusterDifferential, SingleTierJobMatchesSearchBestStrategy) {
   const int id = service.Submit(request);
   const JobRecord& job = service.job(id);
   ASSERT_TRUE(job.plan.feasible);
-  EXPECT_FALSE(job.plan.fleet_path);
 
   // The same search, by hand, on the same carve with the same knobs.
   const hw::ClusterTopology carve = service.CarveFor(job.alloc);
@@ -174,9 +173,9 @@ TEST(ClusterDifferential, SingleTierJobMatchesSearchBestStrategy) {
   EXPECT_EQ(service.Metrics().completed, 1);
 }
 
-// A job forced to span both tiers must match SearchBestFleetStrategy on
-// the spanning carve.
-TEST(ClusterDifferential, CrossTierJobMatchesSearchBestFleetStrategy) {
+// A job forced to span both tiers must match SearchBestStrategy on the
+// spanning carve.
+TEST(ClusterDifferential, CrossTierJobMatchesSearchBestStrategy) {
   ClusterServiceOptions options = FastOptions(AllocationPolicy::kDynamic);
   ClusterService service(SmallFleet(), options);
 
@@ -189,7 +188,6 @@ TEST(ClusterDifferential, CrossTierJobMatchesSearchBestFleetStrategy) {
   const int id = service.Submit(request);
   const JobRecord& job = service.job(id);
   ASSERT_TRUE(job.plan.feasible);
-  EXPECT_TRUE(job.plan.fleet_path);
   ASSERT_EQ(job.alloc.slices.size(), 2u);
 
   const hw::ClusterTopology carve = service.CarveFor(job.alloc);
@@ -199,17 +197,17 @@ TEST(ClusterDifferential, CrossTierJobMatchesSearchBestFleetStrategy) {
   popts.cache = &cache;
   popts.iteration.keep_schedule = true;
   popts.iteration.keep_timeline = false;
-  const FleetPlannerResult direct = SearchBestFleetStrategy(
-      request.method, request.config, carve, request.global_batch, popts);
+  const PlannerResult direct = SearchBestStrategy(request.method, request.config, carve,
+                                                  request.global_batch, popts);
   ASSERT_TRUE(direct.best.has_value());
 
-  EXPECT_EQ(job.plan.strategy.ToString(), direct.best->placed.strategy.ToString());
-  EXPECT_EQ(job.plan.placement.ToString(), direct.best->placed.placement.ToString());
-  EXPECT_EQ(job.plan.iteration_time, direct.best->result.iteration_time);  // bitwise
-  EXPECT_EQ(job.plan.peak_memory, direct.best->result.peak_memory);
+  EXPECT_EQ(job.plan.strategy.ToString(), direct.best->strategy.ToString());
+  EXPECT_EQ(job.plan.placement.ToString(), direct.best->placement.ToString());
+  EXPECT_EQ(job.plan.iteration_time, direct.best->iteration_time);  // bitwise
+  EXPECT_EQ(job.plan.peak_memory, direct.best->peak_memory);
   EXPECT_EQ(job.plan.usd_per_iteration, direct.best->dollars.usd_per_iteration);
 
-  sched::Schedule tagged = direct.best->result.schedule;
+  sched::Schedule tagged = direct.best->schedule;
   sched::TagJob(tagged, id);
   EXPECT_EQ(job.plan.schedule_text, sched::SerializeSchedule(tagged));
 }

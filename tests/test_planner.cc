@@ -151,15 +151,6 @@ TEST(Planner, DeterministicAcrossRuns) {
   EXPECT_EQ(a.best->strategy.ToString(), b.best->strategy.ToString());
 }
 
-TEST(Planner, SearchMethodsCoversAll) {
-  const auto config = model::Llama13B();
-  const auto cluster = hw::Rtx4090Cluster();
-  const auto results = SearchMethods({Method::kDapple, Method::kSvpp}, config, cluster, 64);
-  ASSERT_EQ(results.size(), 2u);
-  EXPECT_TRUE(results[0].best.has_value());
-  EXPECT_TRUE(results[1].best.has_value());
-}
-
 TEST(Planner, PruningNeverChangesTheWinnerOnASmallGrid) {
   // Regression guard on the pruning lower bound: across every method on
   // a deliberately small grid, the pruned search must land on the same

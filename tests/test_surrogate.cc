@@ -340,7 +340,9 @@ TEST(SurrogateLowerBoundTest, NeverExceedsTheMeasuredIterationTime) {
       IterationOptions options;
       options.keep_timeline = false;
       options.fault_plan = plans[p];
-      const auto bound = SurrogateLowerBound(config, strategy, cluster, 64, options);
+      const auto bound = SurrogateLowerBound(config, strategy, hw::SingleTierTopology(cluster),
+                                             hw::StagePlacement::Uniform(strategy.pp, 0), 64,
+                                             options);
       ASSERT_TRUE(bound.has_value()) << "plan " << p;
       const IterationResult exact = SimulateIteration(config, strategy, cluster, 64, options);
       ASSERT_TRUE(exact.feasible)
@@ -353,7 +355,8 @@ TEST(SurrogateLowerBoundTest, NeverExceedsTheMeasuredIterationTime) {
 
 TEST(SurrogateLowerBoundTest, StragglerWindowsRaiseTheBound) {
   const auto config = model::Llama13B();
-  const auto cluster = hw::Rtx4090Cluster();
+  const auto topology = hw::SingleTierTopology(hw::Rtx4090Cluster());
+  const auto placement = hw::StagePlacement::Uniform(8, 0);
   Strategy strategy;
   strategy.method = Method::kSvpp;
   strategy.pp = 8;
@@ -361,12 +364,14 @@ TEST(SurrogateLowerBoundTest, StragglerWindowsRaiseTheBound) {
   strategy.dp = 8;
   IterationOptions clean;
   clean.keep_timeline = false;
-  const auto clean_bound = SurrogateLowerBound(config, strategy, cluster, 64, clean);
+  const auto clean_bound =
+      SurrogateLowerBound(config, strategy, topology, placement, 64, clean);
   sim::FaultPlan plan;
   plan.stragglers.push_back({3, 0.0, 1e9, 2.0});
   IterationOptions faulted = clean;
   faulted.fault_plan = plan;
-  const auto faulted_bound = SurrogateLowerBound(config, strategy, cluster, 64, faulted);
+  const auto faulted_bound =
+      SurrogateLowerBound(config, strategy, topology, placement, 64, faulted);
   ASSERT_TRUE(clean_bound.has_value());
   ASSERT_TRUE(faulted_bound.has_value());
   EXPECT_GT(*faulted_bound, *clean_bound);

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include "common/check.h"
+#include "core/fleet.h"
 #include "hw/cluster.h"
 #include "model/transformer.h"
 
@@ -138,8 +139,11 @@ TEST(TrainingCost, DpSyncGrowsWithParamBytes) {
   const Strategy p4 = fx.Mepipe(4, 16, 4);
   TrainingCostModel a(fx.config, p8, fx.cluster, fx.Problem(p8));
   TrainingCostModel b(fx.config, p4, fx.cluster, fx.Problem(p4));
-  EXPECT_GT(b.DpSyncTime(), 0.0);
-  EXPECT_GT(b.DpSyncTime(), a.DpSyncTime() * 0.9);
+  const hw::ClusterTopology topology = hw::SingleTierTopology(fx.cluster);
+  const Seconds sync_a = SerializedDpSync(a, topology, hw::StagePlacement::Uniform(8, 0), {});
+  const Seconds sync_b = SerializedDpSync(b, topology, hw::StagePlacement::Uniform(4, 0), {});
+  EXPECT_GT(sync_b, 0.0);
+  EXPECT_GT(sync_b, sync_a * 0.9);
 }
 
 TEST(TrainingCost, RejectsUnsupportedCombinations) {
