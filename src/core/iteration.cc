@@ -428,6 +428,7 @@ IterationResult SimulateIteration(const model::TransformerConfig& config,
   engine.wgrad_mode = build.wgrad_mode;
   engine.activation_budget = build.activation_budget;
   engine.fault_plan = options.fault_plan;
+  engine.record_timeline = options.keep_timeline;
   engine.dp_overlap = options.dp_overlap;
   engine.dp_link_shared =
       options.dp_overlap &&
@@ -525,9 +526,6 @@ IterationResult SimulateIteration(const model::TransformerConfig& config,
       topology, strategy, placement, result.iteration_time,
       WanEgressBytesPerIteration(config, strategy, placement, topology, global_batch));
 
-  if (!options.keep_timeline) {
-    sim.timeline.clear();
-  }
   result.sim = std::move(sim);
   if (options.keep_schedule) {
     result.schedule = std::move(schedule);

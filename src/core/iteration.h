@@ -41,7 +41,9 @@ struct IterationOptions {
   bool svpp_reschedule = true;
   // Host-side optimizer step once per iteration.
   Seconds optimizer_step = Milliseconds(15);
-  // Drop the (potentially large) per-op timeline from the result.
+  // Record the (potentially large) per-op span timeline in
+  // IterationResult::sim (sim::EngineOptions::record_timeline). Off, the
+  // engine never builds one.
   bool keep_timeline = true;
   // Keep the executed schedule (post-mitigation when a rebalanced one
   // was adopted) in IterationResult::schedule, so callers can re-check

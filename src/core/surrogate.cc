@@ -22,8 +22,8 @@ constexpr double kEps = 1e-12;
 // ---- Tabular critical-path pass -------------------------------------------
 //
 // The engine's list-scheduling loop on dense arenas: op completion times
-// live in a flat vector indexed by (kind, micro, slice, chunk) instead of
-// hash maps, dependencies are enumerated allocation-free through
+// live in a flat vector indexed by sched::OpSlots instead of hash maps,
+// dependencies are enumerated allocation-free through
 // sched::ForEachDependency, and nothing is recorded per op — the pass
 // keeps only per-stage clocks, busy sums, and running memory counters.
 // Cross-stage readiness is producer-done + transfer time (no per-link
@@ -37,11 +37,8 @@ class TableSim {
         problem_(schedule.problem),
         costs_(costs),
         options_(options),
-        chunks_(problem_.num_chunks()),
-        done_(static_cast<std::size_t>(3) * static_cast<std::size_t>(problem_.micros) *
-                  static_cast<std::size_t>(problem_.slices) *
-                  static_cast<std::size_t>(chunks_),
-              kNotDone),
+        slots_(problem_),
+        done_(slots_.count(), kNotDone),
         cursor_(static_cast<std::size_t>(problem_.stages), 0),
         clock_(static_cast<std::size_t>(problem_.stages), 0.0),
         wqueue_(static_cast<std::size_t>(problem_.stages)),
@@ -68,25 +65,13 @@ class TableSim {
     int gemm_count = 1;
   };
 
-  std::size_t Index(const OpId& op) const {
-    // kForward=0, kBackward=1, kWeightGrad=2 (per-GEMM splits and DP
-    // buckets never land in the arena).
-    const auto kind = static_cast<std::size_t>(op.kind);
-    return ((kind * static_cast<std::size_t>(problem_.micros) +
-             static_cast<std::size_t>(op.micro)) *
-                static_cast<std::size_t>(problem_.slices) +
-            static_cast<std::size_t>(op.slice)) *
-               static_cast<std::size_t>(chunks_) +
-           static_cast<std::size_t>(op.chunk);
-  }
-
-  Seconds DoneTime(const OpId& op) const { return done_[Index(op)]; }
-  void MarkDone(const OpId& op, Seconds t) { done_[Index(op)] = t; }
+  Seconds DoneTime(const OpId& op) const { return done_[slots_(op)]; }
+  void MarkDone(const OpId& op, Seconds t) { done_[slots_(op)] = t; }
 
   bool DepsDone(const OpId& op) const {
     bool ok = true;
     sched::ForEachDependency(problem_, op, [&](const Dep& dep) {
-      ok = ok && done_[Index(dep.op)] != kNotDone;
+      ok = ok && done_[slots_(dep.op)] != kNotDone;
     });
     return ok;
   }
@@ -94,7 +79,7 @@ class TableSim {
   Seconds ReadyTime(const OpId& op) const {
     Seconds ready = 0.0;
     sched::ForEachDependency(problem_, op, [&](const Dep& dep) {
-      const Seconds done = done_[Index(dep.op)];
+      const Seconds done = done_[slots_(dep.op)];
       ready = std::max(ready, dep.cross_stage ? done + costs_.TransferTime(dep.op) : done);
     });
     return ready;
@@ -200,7 +185,7 @@ class TableSim {
         }
         Seconds ready = 0;
         sched::ForEachDependency(problem_, bucket, [&](const Dep& dep) {
-          ready = std::max(ready, done_[Index(dep.op)]);
+          ready = std::max(ready, done_[slots_(dep.op)]);
         });
         buckets.push_back({ready, duration});
         total += duration;
@@ -223,7 +208,7 @@ class TableSim {
   const sim::CostModel& costs_;
   const TableOptions& options_;
 
-  int chunks_;
+  const sched::OpSlots slots_;
   std::vector<Seconds> done_;
   std::vector<std::size_t> cursor_;
   std::vector<double> clock_;

@@ -14,6 +14,7 @@ constexpr double kInfinity = std::numeric_limits<double>::infinity();
 struct GeneratorState {
   const PipelineProblem& problem;
   const GeneratorOptions& options;
+  const OpSlots slots;
 
   // Incremental readiness over three dense kind-planes (F, B, W — the
   // only kinds generation schedules). `unmet` counts unscheduled
@@ -44,9 +45,8 @@ struct GeneratorState {
   explicit GeneratorState(const PipelineProblem& p, const GeneratorOptions& o)
       : problem(p),
         options(o),
-        unmet(3 * static_cast<std::size_t>(p.micros) * static_cast<std::size_t>(p.slices) *
-                  static_cast<std::size_t>(p.num_chunks()),
-              0),
+        slots(p),
+        unmet(slots.count(), 0),
         ready(unmet.size(), 0.0),
         pos(unmet.size(), 0),
         stage_free(static_cast<std::size_t>(p.stages), 0.0),
@@ -113,24 +113,12 @@ struct GeneratorState {
     return base;
   }
 
-  std::size_t OpIndex(const OpId& op) const {
-    const std::size_t kind = op.kind == OpKind::kForward    ? 0
-                             : op.kind == OpKind::kBackward ? 1
-                                                            : 2;
-    return ((kind * static_cast<std::size_t>(problem.micros) +
-             static_cast<std::size_t>(op.micro)) *
-                static_cast<std::size_t>(problem.slices) +
-            static_cast<std::size_t>(op.slice)) *
-               static_cast<std::size_t>(problem.num_chunks()) +
-           static_cast<std::size_t>(op.chunk);
-  }
-
   // Register a to-be-scheduled op: its stage-order position (the former
   // scan order, used as the tie-break) and its dependency count (deps
   // are always F/B ops, which generation always schedules). Dep-free ops
   // start unlocked.
   void Seed(int stage, const OpId& op, int position) {
-    const std::size_t idx = OpIndex(op);
+    const std::size_t idx = slots(op);
     pos[idx] = position;
     int count = 0;
     ForEachDependency(problem, op, [&](const Dep&) { ++count; });
@@ -148,7 +136,7 @@ struct GeneratorState {
   void MarkDone(const OpId& op, double end, bool emit_w_static) {
     const auto feed = [&](OpKind kind, int micro, int slice, int chunk, bool cross) {
       const OpId child{kind, micro, slice, chunk};
-      const std::size_t idx = OpIndex(child);
+      const std::size_t idx = slots(child);
       ready[idx] = std::max(ready[idx], end + (cross ? options.transfer_time : 0.0));
       if (--unmet[idx] == 0) {
         unlocked[static_cast<std::size_t>(problem.stage_of_chunk(chunk))].push_back(child);
@@ -366,7 +354,7 @@ Schedule GenerateCapped(const PipelineProblem& problem, const GeneratorOptions& 
       const int cap = state.cap(stage);
       for (std::size_t slot = 0; slot < unlocked.size(); ++slot) {
         const OpId& op = unlocked[slot];
-        const std::size_t idx = state.OpIndex(op);
+        const std::size_t idx = state.slots(op);
         const double ready = state.ready[idx];
         if (ready > now + lookahead) {
           next_event = std::min(next_event, ready);

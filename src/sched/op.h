@@ -13,6 +13,7 @@
 #define MEPIPE_SCHED_OP_H_
 
 #include <compare>
+#include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <string>
@@ -82,6 +83,37 @@ struct PipelineProblem {
   std::int64_t ops_per_stage() const;
 
   void Validate() const;  // throws CheckError on malformed instances
+};
+
+// The one dense layout of a problem's F/B/W ops: three kind planes
+// (F, B, W) of micros × slices × chunks, so per-op state lives in a flat
+// vector indexed by slot instead of a hash map. A kWeightGradGemm shares
+// its W's slot (the GEMMs of one W have the same dependencies); DP
+// buckets have no slot. The caller guarantees micro, slice and chunk are
+// in range.
+class OpSlots {
+ public:
+  explicit OpSlots(const PipelineProblem& problem)
+      : micros_(static_cast<std::size_t>(problem.micros)),
+        slices_(static_cast<std::size_t>(problem.slices)),
+        chunks_(static_cast<std::size_t>(problem.num_chunks())) {}
+
+  std::size_t count() const { return 3 * micros_ * slices_ * chunks_; }
+
+  std::size_t operator()(const OpId& op) const {
+    const std::size_t kind = op.kind == OpKind::kForward    ? 0
+                             : op.kind == OpKind::kBackward ? 1
+                                                            : 2;
+    return ((kind * micros_ + static_cast<std::size_t>(op.micro)) * slices_ +
+            static_cast<std::size_t>(op.slice)) *
+               chunks_ +
+           static_cast<std::size_t>(op.chunk);
+  }
+
+ private:
+  std::size_t micros_;
+  std::size_t slices_;
+  std::size_t chunks_;
 };
 
 }  // namespace mepipe::sched

@@ -1,26 +1,10 @@
 #include "sched/schedule.h"
 
 #include <algorithm>
-#include <unordered_set>
 
 #include "common/check.h"
 
 namespace mepipe::sched {
-namespace {
-
-using OpSet = std::unordered_set<OpId, OpIdHash>;
-
-// Expected multiset of ops for a stage's static order, carrying the
-// schedule's job tag so tagged schedules validate against themselves.
-std::vector<OpId> ExpectedStageOps(const Schedule& schedule, int stage) {
-  std::vector<OpId> expected = StageOps(schedule.problem, stage, schedule.job);
-  if (schedule.deferred_wgrad) {
-    std::erase_if(expected, [](const OpId& op) { return op.kind == OpKind::kWeightGrad; });
-  }
-  return expected;
-}
-
-}  // namespace
 
 void TagJob(Schedule& schedule, int job) {
   MEPIPE_CHECK_GE(job, 0);
@@ -39,29 +23,46 @@ void ValidateSchedule(const Schedule& schedule) {
   if (schedule.deferred_wgrad) {
     MEPIPE_CHECK(problem.split_backward) << "deferred W requires split backward";
   }
+  const OpSlots slots(problem);
 
-  // 1. Each stage's list is exactly the expected op multiset.
+  // 1. Each stage's list is exactly the expected op multiset: F and B
+  // (plus W when split and not deferred) of every (micro, slice) of each
+  // chunk the stage owns, tagged with the schedule's job. Every listed op
+  // must be one of those and distinct, so a list of the expected size is
+  // the whole set. Range checks precede any indexing.
+  const bool static_w = problem.split_backward && !schedule.deferred_wgrad;
+  const std::size_t expected = static_cast<std::size_t>(problem.micros) *
+                               static_cast<std::size_t>(problem.slices) *
+                               static_cast<std::size_t>(problem.virtual_chunks) *
+                               (static_w ? 3 : 2);
+  std::vector<char> listed(slots.count(), 0);
   for (int stage = 0; stage < problem.stages; ++stage) {
-    std::vector<OpId> expected = ExpectedStageOps(schedule, stage);
-    std::vector<OpId> actual = schedule.stage_ops[static_cast<std::size_t>(stage)];
-    std::sort(expected.begin(), expected.end());
-    std::sort(actual.begin(), actual.end());
-    MEPIPE_CHECK(expected == actual)
-        << "stage " << stage << " op multiset mismatch (" << actual.size() << " vs expected "
-        << expected.size() << ")";
+    const auto& ops = schedule.stage_ops[static_cast<std::size_t>(stage)];
+    bool match = ops.size() == expected;
+    for (std::size_t i = 0; match && i < ops.size(); ++i) {
+      const OpId& op = ops[i];
+      match = op.job == schedule.job && op.gemm == -1 &&
+              (op.kind == OpKind::kForward || op.kind == OpKind::kBackward ||
+               (op.kind == OpKind::kWeightGrad && static_w)) &&
+              op.micro >= 0 && op.micro < problem.micros && op.slice >= 0 &&
+              op.slice < problem.slices && op.chunk >= 0 && op.chunk < problem.num_chunks() &&
+              problem.stage_of_chunk(op.chunk) == stage && listed[slots(op)] == 0;
+      if (match) {
+        listed[slots(op)] = 1;
+      }
+    }
+    MEPIPE_CHECK(match) << "stage " << stage << " op multiset mismatch (" << ops.size()
+                        << " vs expected " << expected << ")";
   }
 
   // 2. The program orders are jointly executable: repeatedly advance every
   // stage past ops whose dependencies have completed. W ops removed from
   // the static order (deferred) are treated as always-runnable after their
   // B, which the engine guarantees; they impose no order constraints here.
-  OpSet done;
+  std::vector<char> done(slots.count(), 0);
   std::vector<std::size_t> cursor(static_cast<std::size_t>(problem.stages), 0);
   bool progressed = true;
-  std::size_t remaining = 0;
-  for (const auto& ops : schedule.stage_ops) {
-    remaining += ops.size();
-  }
+  std::size_t remaining = expected * static_cast<std::size_t>(problem.stages);
   while (progressed && remaining > 0) {
     progressed = false;
     for (int stage = 0; stage < problem.stages; ++stage) {
@@ -70,16 +71,12 @@ void ValidateSchedule(const Schedule& schedule) {
       while (index < ops.size()) {
         const OpId& op = ops[index];
         bool ready = true;
-        for (const Dep& dep : DependenciesOf(problem, op)) {
-          if (!done.contains(dep.op)) {
-            ready = false;
-            break;
-          }
-        }
+        ForEachDependency(problem, op,
+                          [&](const Dep& dep) { ready = ready && done[slots(dep.op)] != 0; });
         if (!ready) {
           break;
         }
-        done.insert(op);
+        done[slots(op)] = 1;
         ++index;
         --remaining;
         progressed = true;

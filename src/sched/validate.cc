@@ -1,6 +1,7 @@
 #include "sched/validate.h"
 
 #include <algorithm>
+#include <limits>
 #include <unordered_map>
 
 #include "common/check.h"
@@ -69,7 +70,10 @@ void CheckMultisets(const Schedule& schedule, InvariantReport& report) {
 bool BuildTable(const Schedule& schedule, const TableCosts& costs, ScheduleTable& table,
                 InvariantReport& report) {
   const PipelineProblem& problem = schedule.problem;
-  std::unordered_map<OpId, double, OpIdHash> done;
+  // Completion time by slot; +inf until the op runs, so a ready time
+  // that reads +inf means a dependency has not run yet.
+  const OpSlots slots(problem);
+  std::vector<double> done(slots.count(), std::numeric_limits<double>::infinity());
   std::vector<std::size_t> cursor(static_cast<std::size_t>(problem.stages), 0);
   std::vector<double> stage_time(static_cast<std::size_t>(problem.stages), 0.0);
   std::size_t remaining = 0;
@@ -85,20 +89,15 @@ bool BuildTable(const Schedule& schedule, const TableCosts& costs, ScheduleTable
       while (index < ops.size()) {
         const OpId& op = ops[index];
         double ready = stage_time[static_cast<std::size_t>(stage)];
-        bool blocked = false;
-        for (const Dep& dep : DependenciesOf(problem, op)) {
-          auto it = done.find(dep.op);
-          if (it == done.end()) {
-            blocked = true;
-            break;
-          }
-          ready = std::max(ready, it->second + (dep.cross_stage ? costs.transfer_time : 0.0));
-        }
-        if (blocked) {
+        ForEachDependency(problem, op, [&](const Dep& dep) {
+          ready = std::max(ready, done[slots(dep.op)] +
+                                      (dep.cross_stage ? costs.transfer_time : 0.0));
+        });
+        if (ready == std::numeric_limits<double>::infinity()) {
           break;
         }
         const double end = ready + OpDuration(op, costs);
-        done.emplace(op, end);
+        done[slots(op)] = end;
         table.rows.push_back({stage, op, ready, end});
         table.makespan = std::max(table.makespan, end);
         stage_time[static_cast<std::size_t>(stage)] = end;

@@ -4,7 +4,6 @@
 #include <deque>
 #include <limits>
 #include <tuple>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -44,7 +43,9 @@ class Builder {
         options_(options),
         cap_(cap),
         policy_(policy),
-        state_(static_cast<std::size_t>(problem.stages)) {}
+        state_(static_cast<std::size_t>(problem.stages)),
+        slots_(problem),
+        done_(slots_.count(), kInfinity) {}
 
   Built Run();
 
@@ -76,16 +77,13 @@ class Builder {
   }
 
   // Earliest start permitted by finished dependencies; +inf if one is
-  // still unscheduled.
+  // still unscheduled (its done_ slot holds the +inf sentinel).
   double ReadyTime(const OpId& op) const {
     double ready = 0.0;
-    for (const Dep& dep : DependenciesOf(problem_, op)) {
-      auto it = done_.find(dep.op);
-      if (it == done_.end()) {
-        return kInfinity;
-      }
-      ready = std::max(ready, it->second + (dep.cross_stage ? options_.transfer_time : 0.0));
-    }
+    ForEachDependency(problem_, op, [&](const Dep& dep) {
+      ready = std::max(ready,
+                       done_[slots_(dep.op)] + (dep.cross_stage ? options_.transfer_time : 0.0));
+    });
     return ready;
   }
 
@@ -94,7 +92,8 @@ class Builder {
   const int cap_;
   const FillPolicy policy_;
   std::vector<StageState> state_;
-  std::unordered_map<OpId, double, OpIdHash> done_;
+  const OpSlots slots_;
+  std::vector<double> done_;  // completion time by slot; +inf = unscheduled
 };
 
 Built Builder::Run() {
@@ -186,7 +185,7 @@ Built Builder::Run() {
       const OpId op = best.op;
       const double start = std::max(now, best.ready);
       const double end = start + Duration(op.kind);
-      done_.emplace(op, end);
+      done_[slots_(op)] = end;
       built.order[static_cast<std::size_t>(stage)].push_back(op);
       switch (op.kind) {
         case OpKind::kForward:

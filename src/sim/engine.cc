@@ -43,11 +43,9 @@ class Engine {
         problem_(schedule.problem),
         costs_(costs),
         options_(options),
-        micros_(static_cast<std::size_t>(problem_.micros)),
-        slices_(static_cast<std::size_t>(problem_.slices)),
-        chunks_(static_cast<std::size_t>(problem_.num_chunks())),
-        done_(3 * micros_ * slices_ * chunks_, kNotDone),
-        transfer_arrival_(2 * micros_ * slices_ * chunks_, kNotDone),
+        slots_(problem_),
+        done_(slots_.count(), kNotDone),
+        transfer_arrival_(slots_.count(), kNotDone),
         link_free_(static_cast<std::size_t>(problem_.stages) *
                        static_cast<std::size_t>(problem_.stages),
                    0.0),
@@ -61,7 +59,10 @@ class Engine {
                      std::numeric_limits<Seconds>::infinity()),
         last_end_(static_cast<std::size_t>(problem_.stages), 0.0),
         overflow_count_(static_cast<std::size_t>(problem_.stages), 0),
-        overflow_bytes_(static_cast<std::size_t>(problem_.stages), 0) {
+        overflow_bytes_(static_cast<std::size_t>(problem_.stages), 0),
+        fabric_busy_(options_.dp_overlap && options_.dp_link_shared
+                         ? static_cast<std::size_t>(problem_.stages)
+                         : 0) {
     if (!options_.activation_budget.empty()) {
       MEPIPE_CHECK_EQ(options_.activation_budget.size(),
                       static_cast<std::size_t>(problem_.stages))
@@ -78,30 +79,16 @@ class Engine {
   SimResult Run();
 
  private:
-  // Dense arena index for an op's completion slot. Only F/B/W identities
-  // are recorded (per-GEMM splits and DP buckets are never dependency
-  // targets), so three kind planes of micros × slices × chunks cover the
-  // whole space with a single subtraction-free computation.
-  std::size_t OpIndex(const OpId& op) const {
-    const std::size_t kind = op.kind == OpKind::kForward   ? 0
-                             : op.kind == OpKind::kBackward ? 1
-                                                            : 2;
-    return ((kind * micros_ + static_cast<std::size_t>(op.micro)) * slices_ +
-            static_cast<std::size_t>(op.slice)) *
-               chunks_ +
-           static_cast<std::size_t>(op.chunk);
-  }
-
-  Seconds DoneTime(const OpId& op) const { return done_[OpIndex(op)]; }
-  bool IsDone(const OpId& op) const { return done_[OpIndex(op)] != kNotDone; }
-  void SetDone(const OpId& op, Seconds time) { done_[OpIndex(op)] = time; }
+  Seconds DoneTime(const OpId& op) const { return done_[slots_(op)]; }
+  bool IsDone(const OpId& op) const { return done_[slots_(op)] != kNotDone; }
+  void SetDone(const OpId& op, Seconds time) { done_[slots_(op)] = time; }
 
   // Arrival time of `producer`'s output at the consuming stage, applying
   // per-directed-link serialization. Memoized (each producer feeds one
-  // consumer). Transfer producers are F/B only, so the first two kind
-  // planes of the arena suffice.
+  // consumer). Under a shared DP fabric the transfer also claims both
+  // endpoints' fabric for its duration (RunDpSync sorts and merges).
   Seconds TransferArrival(const OpId& producer) {
-    Seconds& memo = transfer_arrival_[OpIndex(producer)];
+    Seconds& memo = transfer_arrival_[slots_(producer)];
     if (memo != kNotDone) {
       return memo;
     }
@@ -123,7 +110,15 @@ class Engine {
       arrival = start + costs_.TransferTime(producer);
     }
     link_free = arrival;
-    timeline_.push_back({from, producer, start, arrival, /*is_transfer=*/true});
+    if (options_.record_timeline) {
+      timeline_.push_back({from, producer, start, arrival, /*is_transfer=*/true});
+    }
+    if (!fabric_busy_.empty()) {
+      fabric_busy_[static_cast<std::size_t>(from)].push_back({start, arrival});
+      if (to != from) {
+        fabric_busy_[static_cast<std::size_t>(to)].push_back({start, arrival});
+      }
+    }
     memo = arrival;
     return arrival;
   }
@@ -159,8 +154,54 @@ class Engine {
   // First instant >= t the stage may start work (skips fail-stop downtime).
   Seconds StartAt(Seconds t) const { return faulty_ ? faulty_->NextUpTime(t) : t; }
 
+  // Per-GEMM split of deferred W `w` (1 unless kFillGemms). Each W is
+  // queried once: up front when a recorded run sizes its timeline,
+  // otherwise when its B completes.
+  int GemmCount(const OpId& w) const {
+    if (options_.wgrad_mode != WgradMode::kFillGemms) {
+      return 1;
+    }
+    return gemm_counts_.empty() ? costs_.WeightGradGemmCount(w) : gemm_counts_[slots_(w)];
+  }
+
+  // Spans a recorded run stores: one per static op, one per deferred W
+  // task or W GEMM, one per cross-stage producer, at most one per DP
+  // bucket. Fills gemm_counts_ on the way.
+  std::size_t RecordedSpanCount() {
+    const int last_chunk = problem_.num_chunks() - 1;
+    if (schedule_.deferred_wgrad && options_.wgrad_mode == WgradMode::kFillGemms) {
+      gemm_counts_.assign(slots_.count(), 0);
+    }
+    std::size_t spans = options_.dp_overlap ? static_cast<std::size_t>(last_chunk + 1) : 0;
+    for (const auto& ops : schedule_.stage_ops) {
+      for (const OpId& op : ops) {
+        ++spans;
+        const int stage = problem_.stage_of_chunk(op.chunk);
+        if (op.kind == OpKind::kForward) {
+          if (op.chunk < last_chunk && problem_.stage_of_chunk(op.chunk + 1) != stage) {
+            ++spans;
+          }
+        } else if (op.kind == OpKind::kBackward) {
+          if (op.chunk > 0 && problem_.stage_of_chunk(op.chunk - 1) != stage) {
+            ++spans;
+          }
+          if (schedule_.deferred_wgrad) {
+            const OpId w{OpKind::kWeightGrad, op.micro, op.slice, op.chunk, -1, op.job};
+            if (!gemm_counts_.empty()) {
+              gemm_counts_[slots_(w)] = costs_.WeightGradGemmCount(w);
+            }
+            spans += static_cast<std::size_t>(GemmCount(w));
+          }
+        }
+      }
+    }
+    return spans;
+  }
+
   void RecordCompute(int stage, const OpId& op, Seconds start, Seconds end) {
-    timeline_.push_back({stage, op, start, end, /*is_transfer=*/false});
+    if (options_.record_timeline) {
+      timeline_.push_back({stage, op, start, end, /*is_transfer=*/false});
+    }
     busy_[static_cast<std::size_t>(stage)] += end - start;
     first_start_[static_cast<std::size_t>(stage)] =
         std::min(first_start_[static_cast<std::size_t>(stage)], start);
@@ -257,35 +298,19 @@ class Engine {
   // exposed tail per stage is at most that stage's summed bucket cost,
   // hence exposed <= serialized and hidden >= 0.
   void RunDpSync(SimResult& result, std::vector<Seconds>& dp_busy) {
-    // Merged fabric-busy intervals per stage (either endpoint of a
+    // Merge each stage's fabric-busy intervals (either endpoint of a
     // pipeline transfer contends with that stage's DP ring).
-    std::vector<std::vector<std::pair<Seconds, Seconds>>> fabric_busy(
-        static_cast<std::size_t>(problem_.stages));
-    if (options_.dp_link_shared) {
-      for (const OpSpan& span : timeline_) {
-        if (!span.is_transfer) {
-          continue;
-        }
-        const int to = span.op.kind == OpKind::kForward
-                           ? problem_.stage_of_chunk(span.op.chunk + 1)
-                           : problem_.stage_of_chunk(span.op.chunk - 1);
-        fabric_busy[static_cast<std::size_t>(span.stage)].push_back({span.start, span.end});
-        if (to != span.stage) {
-          fabric_busy[static_cast<std::size_t>(to)].push_back({span.start, span.end});
+    for (auto& intervals : fabric_busy_) {
+      std::sort(intervals.begin(), intervals.end());
+      std::vector<std::pair<Seconds, Seconds>> merged;
+      for (const auto& interval : intervals) {
+        if (!merged.empty() && interval.first <= merged.back().second) {
+          merged.back().second = std::max(merged.back().second, interval.second);
+        } else {
+          merged.push_back(interval);
         }
       }
-      for (auto& intervals : fabric_busy) {
-        std::sort(intervals.begin(), intervals.end());
-        std::vector<std::pair<Seconds, Seconds>> merged;
-        for (const auto& interval : intervals) {
-          if (!merged.empty() && interval.first <= merged.back().second) {
-            merged.back().second = std::max(merged.back().second, interval.second);
-          } else {
-            merged.push_back(interval);
-          }
-        }
-        intervals = std::move(merged);
-      }
+      intervals = std::move(merged);
     }
     // End of a transmission of `work` seconds entering at `start`,
     // suspended across the sorted disjoint busy `intervals`.
@@ -337,10 +362,12 @@ class Engine {
         const Seconds start = std::max(stream, ready);
         const Seconds end =
             options_.dp_link_shared
-                ? advance(fabric_busy[static_cast<std::size_t>(stage)], start,
+                ? advance(fabric_busy_[static_cast<std::size_t>(stage)], start,
                           costs_.DpSyncTime(bucket))
                 : start + costs_.DpSyncTime(bucket);
-        timeline_.push_back({stage, bucket, start, end, /*is_transfer=*/true});
+        if (options_.record_timeline) {
+          timeline_.push_back({stage, bucket, start, end, /*is_transfer=*/true});
+        }
         dp_busy[static_cast<std::size_t>(stage)] += end - start;
         stream = end;
         ++result.dp.buckets;
@@ -381,13 +408,11 @@ class Engine {
   EngineOptions options_;
 
   // Event arenas: completion times and memoized transfer arrivals live
-  // in dense per-op vectors (kNotDone sentinel) instead of hash maps,
-  // and the per-directed-link free times in a flat stages × stages
-  // matrix. One allocation each up front; the hot loop does index
-  // arithmetic only. Sized at construction from the problem shape.
-  const std::size_t micros_;
-  const std::size_t slices_;
-  const std::size_t chunks_;
+  // in dense per-op vectors over sched::OpSlots (kNotDone sentinel)
+  // instead of hash maps, and the per-directed-link free times in a flat
+  // stages × stages matrix. One allocation each up front; the hot loop
+  // does index arithmetic only.
+  const sched::OpSlots slots_;
   std::vector<Seconds> done_;
   std::vector<Seconds> transfer_arrival_;
   std::vector<double> link_free_;
@@ -402,6 +427,11 @@ class Engine {
   std::vector<int> overflow_count_;
   std::vector<Bytes> overflow_bytes_;
   std::vector<OpSpan> timeline_;
+  // Per-stage fabric-busy intervals; one entry per stage only under
+  // dp_overlap && dp_link_shared.
+  std::vector<std::vector<std::pair<Seconds, Seconds>>> fabric_busy_;
+  // Deferred-W GEMM counts by slot; filled only by RecordedSpanCount.
+  std::vector<int> gemm_counts_;
   std::optional<FaultyCostModel> faulty_;
 };
 
@@ -412,9 +442,9 @@ SimResult Engine::Run() {
   for (const auto& ops : schedule_.stage_ops) {
     remaining += ops.size();
   }
-  // Compute spans plus at most one transfer per F/B op; per-GEMM W
-  // splits can push past this, at which point the vector grows normally.
-  timeline_.reserve(2 * remaining);
+  if (options_.record_timeline) {
+    timeline_.reserve(RecordedSpanCount());
+  }
   for (auto& events : mem_events_) {
     events.reserve(2 * remaining / std::max(1, problem_.stages));
   }
@@ -456,10 +486,7 @@ SimResult Engine::Run() {
               AddMem(stage, end, costs_.ActGradBytes(op));
               if (schedule_.deferred_wgrad) {
                 const OpId w{OpKind::kWeightGrad, op.micro, op.slice, op.chunk, -1, op.job};
-                WgradItem item{w, end, 0,
-                               options_.wgrad_mode == WgradMode::kFillGemms
-                                   ? costs_.WeightGradGemmCount(w)
-                                   : 1};
+                WgradItem item{w, end, 0, GemmCount(w)};
                 if (options_.wgrad_mode == WgradMode::kImmediate) {
                   DrainWgradItem(stage, item);
                 } else {
@@ -498,10 +525,8 @@ SimResult Engine::Run() {
   }
 
   SimResult result;
-  for (const OpSpan& span : timeline_) {
-    if (!span.is_transfer) {
-      result.makespan = std::max(result.makespan, span.end);
-    }
+  for (const Seconds end : last_end_) {
+    result.makespan = std::max(result.makespan, end);
   }
 
   // Overlapped data-parallel gradient sync: a post-pass over the now

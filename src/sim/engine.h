@@ -44,6 +44,11 @@ struct EngineOptions {
   // Throw CheckError on an activation-budget violation instead of
   // recording it (see activation_budget above).
   bool strict_activation_budget = false;
+  // Record SimResult::timeline, the sorted compute/transfer/bucket span
+  // list that traces and the profiler read. Off, no span is stored or
+  // sorted; every other SimResult field is unchanged (makespan comes from
+  // the per-stage last compute end either way).
+  bool record_timeline = true;
   // Record the per-stage activation-memory series over time (enables
   // Figure-1-style memory plots; costs memory proportional to op count).
   bool record_memory_timeline = false;
@@ -134,8 +139,9 @@ struct SimResult {
   std::vector<StageMetrics> stages;
   // Overlapped-DP-sync accounting (see DpSyncStats).
   DpSyncStats dp;
-  // Compute spans + transfers; kDpSync bucket spans appear here with
-  // is_transfer == true when dp_overlap ran.
+  // Compute spans + transfers, sorted by (start, stage); kDpSync bucket
+  // spans appear here with is_transfer == true when dp_overlap ran.
+  // Empty (no capacity) unless EngineOptions::record_timeline is set.
   std::vector<OpSpan> timeline;
   // Fault windows applied to this run (only when fault_plan is set).
   std::vector<FaultSpan> fault_spans;

@@ -4,8 +4,14 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <utility>
+#include <vector>
+
+#include "core/svpp.h"
 #include "sched/baselines.h"
 #include "sched/generator.h"
+#include "sched/synth.h"
 #include "sim/cost_model.h"
 
 namespace mepipe::sim {
@@ -221,6 +227,119 @@ TEST(Engine, StragglerShowsUpAsNeighborSteadyIdle) {
   EXPECT_GT(faulted.stages[1].steady_idle, clean.stages[1].steady_idle);
   EXPECT_GT(faulted.stages[3].steady_idle, clean.stages[3].steady_idle);
   EXPECT_DOUBLE_EQ(faulted.stages[1].busy, clean.stages[1].busy);
+}
+
+// Every SimResult field except the timeline, compared bit for bit.
+void ExpectSameExceptTimeline(const SimResult& a, const SimResult& b) {
+  EXPECT_EQ(a.makespan, b.makespan);
+  EXPECT_EQ(a.bubble_ratio, b.bubble_ratio);
+  EXPECT_EQ(a.peak_activation, b.peak_activation);
+  EXPECT_EQ(a.budget_violations, b.budget_violations);
+  ASSERT_EQ(a.stages.size(), b.stages.size());
+  for (std::size_t i = 0; i < a.stages.size(); ++i) {
+    const StageMetrics& x = a.stages[i];
+    const StageMetrics& y = b.stages[i];
+    EXPECT_EQ(x.busy, y.busy) << i;
+    EXPECT_EQ(x.peak_activation, y.peak_activation) << i;
+    EXPECT_EQ(x.bubble_ratio, y.bubble_ratio) << i;
+    EXPECT_EQ(x.warmup_idle, y.warmup_idle) << i;
+    EXPECT_EQ(x.steady_idle, y.steady_idle) << i;
+    EXPECT_EQ(x.drain_idle, y.drain_idle) << i;
+    EXPECT_EQ(x.budget_violations, y.budget_violations) << i;
+    EXPECT_EQ(x.budget_overflow_bytes, y.budget_overflow_bytes) << i;
+    EXPECT_EQ(x.dp_sync, y.dp_sync) << i;
+  }
+  EXPECT_EQ(a.dp.serialized, b.dp.serialized);
+  EXPECT_EQ(a.dp.hidden, b.dp.hidden);
+  EXPECT_EQ(a.dp.exposed, b.dp.exposed);
+  EXPECT_EQ(a.dp.last_end, b.dp.last_end);
+  EXPECT_EQ(a.dp.buckets, b.dp.buckets);
+  ASSERT_EQ(a.fault_spans.size(), b.fault_spans.size());
+  for (std::size_t i = 0; i < a.fault_spans.size(); ++i) {
+    const FaultSpan& x = a.fault_spans[i];
+    const FaultSpan& y = b.fault_spans[i];
+    EXPECT_EQ(x.kind, y.kind) << i;
+    EXPECT_EQ(x.stage, y.stage) << i;
+    EXPECT_EQ(x.from, y.from) << i;
+    EXPECT_EQ(x.to, y.to) << i;
+    EXPECT_EQ(x.begin, y.begin) << i;
+    EXPECT_EQ(x.end, y.end) << i;
+    EXPECT_EQ(x.label, y.label) << i;
+  }
+  ASSERT_EQ(a.memory_timeline.size(), b.memory_timeline.size());
+  for (std::size_t i = 0; i < a.memory_timeline.size(); ++i) {
+    ASSERT_EQ(a.memory_timeline[i].size(), b.memory_timeline[i].size()) << i;
+    for (std::size_t j = 0; j < a.memory_timeline[i].size(); ++j) {
+      EXPECT_EQ(a.memory_timeline[i][j].time, b.memory_timeline[i][j].time);
+      EXPECT_EQ(a.memory_timeline[i][j].bytes, b.memory_timeline[i][j].bytes);
+    }
+  }
+}
+
+// Turning the span timeline off changes nothing else: every schedule
+// generator, every W mode, with and without activation budgets, DP
+// overlap with and without a shared fabric, clean and under a fault plan
+// with a fail-stop. The recorded run reserves exactly the spans it
+// stores, per-GEMM W splits included.
+TEST(Engine, UnrecordedTimelineMatchesRecordedRunBitForBit) {
+  const int p = 4;
+  std::vector<std::pair<std::string, sched::Schedule>> schedules = {
+      {"gpipe", sched::GPipeSchedule(p, 6)},
+      {"1f1b", sched::OneFOneBSchedule(p, 8)},
+      {"vpp", sched::VppSchedule(p, 2, 8)},
+      {"terapipe", sched::TeraPipeSchedule(p, 2, 4)},
+      {"hanayo", sched::HanayoSchedule(p, 8)},
+      {"zb1p", sched::Zb1pSchedule(p, 8)},
+      {"zbv", sched::ZbvSchedule(p, 8)},
+      {"zbv-capped", sched::ZbvCappedSchedule(p, 8)},
+      {"svpp", core::GenerateSvpp({.stages = p, .virtual_chunks = 2, .slices = 2, .micros = 8})},
+  };
+  sched::PipelineProblem synth_problem;
+  synth_problem.stages = p;
+  synth_problem.virtual_chunks = 2;
+  synth_problem.micros = 8;
+  synth_problem.split_backward = true;
+  schedules.push_back({"synth", sched::SynthesizeSchedule(synth_problem)});
+
+  // Priced buckets, 3 GEMMs per W, 10-byte activations, 5-byte act-grads.
+  const UniformCostModel costs(1.0, 1.0, 0.7, 0.1, 10, 5, 3, 2.0);
+  FaultPlan faults;
+  faults.stragglers.push_back({1, 2.0, 12.0, 1.5});
+  faults.fail_stops.push_back({2, 9.0, 0.5, 1.0});
+  faults.checkpoints = {4.0};
+
+  for (const auto& [name, schedule] : schedules) {
+    for (const WgradMode mode :
+         {WgradMode::kImmediate, WgradMode::kFillWhole, WgradMode::kFillGemms}) {
+      for (const bool budgeted : {false, true}) {
+        for (const int dp : {0, 1, 2}) {
+          for (const bool faulted : {false, true}) {
+            SCOPED_TRACE(name + " mode=" + std::to_string(static_cast<int>(mode)) +
+                         " budgeted=" + std::to_string(budgeted) + " dp=" +
+                         std::to_string(dp) + " faulted=" + std::to_string(faulted));
+            EngineOptions options;
+            options.wgrad_mode = mode;
+            if (budgeted) {
+              options.activation_budget.assign(static_cast<std::size_t>(p), 40);
+            }
+            options.dp_overlap = dp > 0;
+            options.dp_link_shared = dp > 1;
+            options.record_memory_timeline = true;
+            if (faulted) {
+              options.fault_plan = faults;
+            }
+            const SimResult recorded = Simulate(schedule, costs, options);
+            options.record_timeline = false;
+            const SimResult bare = Simulate(schedule, costs, options);
+            ExpectSameExceptTimeline(recorded, bare);
+            EXPECT_EQ(bare.timeline.capacity(), 0u);
+            EXPECT_FALSE(recorded.timeline.empty());
+            EXPECT_EQ(recorded.timeline.capacity(), recorded.timeline.size());
+          }
+        }
+      }
+    }
+  }
 }
 
 }  // namespace

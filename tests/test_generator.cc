@@ -3,6 +3,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <functional>
+#include <unordered_set>
+#include <utility>
+#include <vector>
+
 #include "common/check.h"
 #include "common/rng.h"
 #include "sched/baselines.h"
@@ -156,34 +162,74 @@ INSTANTIATE_TEST_SUITE_P(
              "n" + std::to_string(c.n) + "f" + std::to_string(c.f);
     });
 
-// Randomized (seeded, splitmix64 — bit-identical across toolchains)
-// sweep of generator options: every generated schedule must pass every
-// invariant of the tabular validator, not just the structural checks.
+// One randomized generator shape (seeded, splitmix64 — bit-identical
+// across toolchains): the problem, options and cap the draw produced.
+struct RandomShape {
+  PipelineProblem problem;
+  GeneratorOptions options;
+  int f = 0;
+};
+
+RandomShape DrawOptionShape(SplitMixRng& rng) {
+  const int p = 2 + static_cast<int>(rng.NextU64() % 7);  // 2..8
+  const int v = 1 + static_cast<int>(rng.NextU64() % 2);  // 1..2
+  const int s = 1 << (rng.NextU64() % 3);                 // 1, 2, 4
+  const int n = 1 + static_cast<int>(rng.NextU64() % 8);  // 1..8
+  const bool split = rng.NextU64() & 1;
+  RandomShape shape;
+  shape.problem = MakeProblem(p, v, s, n, split);
+  if (v == 2 && (rng.NextU64() & 1)) {
+    shape.problem.placement = ChunkPlacement::kVShape;
+  }
+  const int floor = v * s;
+  shape.f = floor + static_cast<int>(rng.NextU64() % static_cast<std::uint64_t>(2 * p));
+  shape.options.inflight_cap = CapSchedule(p, shape.f, floor);
+  shape.options.backward_first = rng.NextU64() & 1;
+  shape.options.child_count_backward_priority = rng.NextU64() & 1;
+  if (split) {
+    shape.options.wgrad =
+        (rng.NextU64() & 1) ? WgradPolicy::kDeferred : WgradPolicy::kLowestPriority;
+    shape.options.b_time = 1.0;
+  }
+  return shape;
+}
+
+// Every baseline construction at one randomized shape.
+std::vector<Schedule> DrawBaselineSchedules(SplitMixRng& rng) {
+  const int p = 2 + static_cast<int>(rng.NextU64() % 7);   // 2..8
+  const int n = 1 + static_cast<int>(rng.NextU64() % 12);  // 1..12
+  const int s = 1 + static_cast<int>(rng.NextU64() % 4);   // 1..4
+  std::vector<Schedule> schedules;
+  schedules.push_back(GPipeSchedule(p, n));
+  schedules.push_back(OneFOneBSchedule(p, n));
+  schedules.push_back(TeraPipeSchedule(p, s, n));
+  schedules.push_back(Zb1pSchedule(p, n));
+  schedules.push_back(ZbvSchedule(p, n));
+  schedules.push_back(ZbvCappedSchedule(p, n));
+  schedules.push_back(HanayoSchedule(p, n));
+  if (n % p == 0) {
+    schedules.push_back(VppSchedule(p, 2, n));
+  }
+  return schedules;
+}
+
+constexpr std::uint64_t kOptionFuzzSeed = 0x5eedc0de2025ull;
+constexpr int kOptionFuzzTrials = 64;
+constexpr std::uint64_t kBaselineFuzzSeed = 0xba5e11e2025ull;
+constexpr int kBaselineFuzzTrials = 32;
+
+// Randomized sweep of generator options: every generated schedule must
+// pass every invariant of the tabular validator, not just the structural
+// checks.
 TEST(GeneratorFuzz, RandomOptionShapesPassEveryInvariant) {
-  SplitMixRng rng(0x5eedc0de2025ull);
-  for (int trial = 0; trial < 64; ++trial) {
-    const int p = 2 + static_cast<int>(rng.NextU64() % 7);  // 2..8
-    const int v = 1 + static_cast<int>(rng.NextU64() % 2);  // 1..2
-    const int s = 1 << (rng.NextU64() % 3);                 // 1, 2, 4
-    const int n = 1 + static_cast<int>(rng.NextU64() % 8);  // 1..8
-    const bool split = rng.NextU64() & 1;
-    PipelineProblem problem = MakeProblem(p, v, s, n, split);
-    if (v == 2 && (rng.NextU64() & 1)) {
-      problem.placement = ChunkPlacement::kVShape;
-    }
-
-    GeneratorOptions options;
-    const int floor = v * s;
-    const int f = floor + static_cast<int>(rng.NextU64() % static_cast<std::uint64_t>(2 * p));
-    options.inflight_cap = CapSchedule(p, f, floor);
-    options.backward_first = rng.NextU64() & 1;
-    options.child_count_backward_priority = rng.NextU64() & 1;
-    if (split) {
-      options.wgrad =
-          (rng.NextU64() & 1) ? WgradPolicy::kDeferred : WgradPolicy::kLowestPriority;
-      options.b_time = 1.0;
-    }
-
+  SplitMixRng rng(kOptionFuzzSeed);
+  for (int trial = 0; trial < kOptionFuzzTrials; ++trial) {
+    const RandomShape shape = DrawOptionShape(rng);
+    const PipelineProblem& problem = shape.problem;
+    const GeneratorOptions& options = shape.options;
+    const int p = problem.stages;
+    const int floor = problem.virtual_chunks * problem.slices;
+    const bool split = problem.split_backward;
     const Schedule schedule = GenerateCapped(problem, options, "fuzz");
     InvariantOptions invariants;
     invariants.costs.b_time = options.b_time;
@@ -193,12 +239,13 @@ TEST(GeneratorFuzz, RandomOptionShapesPassEveryInvariant) {
     // schedules, so the cap is only asserted for the other shapes.
     if (!(split && options.wgrad == WgradPolicy::kLowestPriority)) {
       for (int stage = 0; stage < p; ++stage) {
-        invariants.retained_cap.push_back(std::max(floor, f - stage));
+        invariants.retained_cap.push_back(std::max(floor, shape.f - stage));
       }
     }
     SCOPED_TRACE("trial " + std::to_string(trial) + ": p=" + std::to_string(p) +
-                 " v=" + std::to_string(v) + " s=" + std::to_string(s) +
-                 " n=" + std::to_string(n) + " f=" + std::to_string(f) +
+                 " v=" + std::to_string(problem.virtual_chunks) +
+                 " s=" + std::to_string(problem.slices) + " n=" +
+                 std::to_string(problem.micros) + " f=" + std::to_string(shape.f) +
                  " split=" + std::to_string(split));
     ValidateScheduleInvariants(schedule, invariants);
   }
@@ -207,35 +254,177 @@ TEST(GeneratorFuzz, RandomOptionShapesPassEveryInvariant) {
 // Same harness over every baseline construction: randomized shapes, all
 // invariants.
 TEST(GeneratorFuzz, RandomBaselineShapesPassEveryInvariant) {
-  SplitMixRng rng(0xba5e11e2025ull);
-  for (int trial = 0; trial < 32; ++trial) {
-    const int p = 2 + static_cast<int>(rng.NextU64() % 7);   // 2..8
-    const int n = 1 + static_cast<int>(rng.NextU64() % 12);  // 1..12
-    const int s = 1 + static_cast<int>(rng.NextU64() % 4);   // 1..4
-    SCOPED_TRACE("trial " + std::to_string(trial) + ": p=" + std::to_string(p) +
-                 " n=" + std::to_string(n) + " s=" + std::to_string(s));
-    std::vector<Schedule> schedules;
-    schedules.push_back(GPipeSchedule(p, n));
-    schedules.push_back(OneFOneBSchedule(p, n));
-    schedules.push_back(TeraPipeSchedule(p, s, n));
-    schedules.push_back(Zb1pSchedule(p, n));
-    schedules.push_back(ZbvSchedule(p, n));
-    schedules.push_back(ZbvCappedSchedule(p, n));
-    schedules.push_back(HanayoSchedule(p, n));
-    if (n % p == 0) {
-      schedules.push_back(VppSchedule(p, 2, n));
-    }
-    for (const Schedule& schedule : schedules) {
+  SplitMixRng rng(kBaselineFuzzSeed);
+  for (int trial = 0; trial < kBaselineFuzzTrials; ++trial) {
+    SCOPED_TRACE("trial " + std::to_string(trial));
+    for (const Schedule& schedule : DrawBaselineSchedules(rng)) {
       SCOPED_TRACE(schedule.method);
+      const int p = schedule.problem.stages;
       InvariantOptions invariants;
       invariants.costs.transfer_time = 0.05;
       if (schedule.method == "ZBV") {
         invariants.retained_cap.assign(static_cast<std::size_t>(p),
-                                       ZbvMaxRetainedForwards(p, n));
+                                       ZbvMaxRetainedForwards(p, schedule.problem.micros));
       }
       ValidateScheduleInvariants(schedule, invariants);
     }
   }
+}
+
+// The hash-set validator ValidateSchedule replaced, kept as the
+// reference: sorted multiset comparison against StageOps, then an
+// executability walk over an unordered_set of completed ops.
+void OracleValidateSchedule(const Schedule& schedule) {
+  const PipelineProblem& problem = schedule.problem;
+  problem.Validate();
+  MEPIPE_CHECK_EQ(static_cast<int>(schedule.stage_ops.size()), problem.stages);
+  if (schedule.deferred_wgrad) {
+    MEPIPE_CHECK(problem.split_backward) << "deferred W requires split backward";
+  }
+  for (int stage = 0; stage < problem.stages; ++stage) {
+    std::vector<OpId> expected = StageOps(problem, stage, schedule.job);
+    if (schedule.deferred_wgrad) {
+      std::erase_if(expected, [](const OpId& op) { return op.kind == OpKind::kWeightGrad; });
+    }
+    std::vector<OpId> actual = schedule.stage_ops[static_cast<std::size_t>(stage)];
+    std::sort(expected.begin(), expected.end());
+    std::sort(actual.begin(), actual.end());
+    MEPIPE_CHECK(expected == actual) << "stage " << stage << " op multiset mismatch";
+  }
+  std::unordered_set<OpId, OpIdHash> done;
+  std::vector<std::size_t> cursor(static_cast<std::size_t>(problem.stages), 0);
+  std::size_t remaining = 0;
+  for (const auto& ops : schedule.stage_ops) {
+    remaining += ops.size();
+  }
+  bool progressed = true;
+  while (progressed && remaining > 0) {
+    progressed = false;
+    for (int stage = 0; stage < problem.stages; ++stage) {
+      auto& index = cursor[static_cast<std::size_t>(stage)];
+      const auto& ops = schedule.stage_ops[static_cast<std::size_t>(stage)];
+      while (index < ops.size()) {
+        bool ready = true;
+        for (const Dep& dep : DependenciesOf(problem, ops[index])) {
+          ready = ready && done.contains(dep.op);
+        }
+        if (!ready) {
+          break;
+        }
+        done.insert(ops[index]);
+        ++index;
+        --remaining;
+        progressed = true;
+      }
+    }
+  }
+  MEPIPE_CHECK_EQ(remaining, 0u) << "schedule deadlocks";
+}
+
+// One random corruption of a (valid) schedule: reorderings that may or
+// may not deadlock, duplicated, dropped, moved and mistagged ops, and
+// field values in and out of range.
+void Corrupt(Schedule& schedule, SplitMixRng& rng) {
+  auto& stages = schedule.stage_ops;
+  const auto pick = [&rng](std::size_t size) {
+    return static_cast<std::size_t>(rng.NextU64() % std::max<std::size_t>(size, 1));
+  };
+  auto& ops = stages[pick(stages.size())];
+  auto& other = stages[pick(stages.size())];
+  if (ops.empty() || other.empty()) {
+    return;
+  }
+  OpId& op = ops[pick(ops.size())];
+  const int delta = (rng.NextU64() & 1) ? 1 : -1;
+  switch (rng.NextU64() % 12) {
+    case 0:
+      std::swap(op, ops[pick(ops.size())]);
+      break;
+    case 1:
+      std::swap(op, other[pick(other.size())]);
+      break;
+    case 2:
+      op = ops[pick(ops.size())];
+      break;
+    case 3:
+      ops.erase(ops.begin() + static_cast<std::ptrdiff_t>(pick(ops.size())));
+      break;
+    case 4:
+      other.push_back(op);
+      ops.erase(ops.begin() + static_cast<std::ptrdiff_t>(pick(ops.size())));
+      break;
+    case 5:
+      op.micro += delta;
+      break;
+    case 6:
+      op.slice += delta;
+      break;
+    case 7:
+      op.chunk += delta;
+      break;
+    case 8:
+      op.kind = static_cast<OpKind>(rng.NextU64() % 5);
+      break;
+    case 9:
+      op.job = 1;
+      break;
+    case 10:
+      op.gemm = 0;
+      break;
+    default:
+      schedule.deferred_wgrad = !schedule.deferred_wgrad;
+      break;
+  }
+}
+
+bool Accepts(const std::function<void(const Schedule&)>& validate, const Schedule& schedule) {
+  try {
+    validate(schedule);
+    return true;
+  } catch (const CheckError&) {
+    return false;
+  }
+}
+
+// ValidateSchedule agrees with the hash-set oracle on every shape of the
+// two fuzz sweeps above, as generated and under random corruptions.
+TEST(GeneratorFuzz, ValidatorAgreesWithHashSetOracleUnderCorruption) {
+  std::vector<Schedule> schedules;
+  SplitMixRng option_rng(kOptionFuzzSeed);
+  for (int trial = 0; trial < kOptionFuzzTrials; ++trial) {
+    const RandomShape shape = DrawOptionShape(option_rng);
+    schedules.push_back(GenerateCapped(shape.problem, shape.options, "fuzz"));
+  }
+  SplitMixRng baseline_rng(kBaselineFuzzSeed);
+  for (int trial = 0; trial < kBaselineFuzzTrials; ++trial) {
+    for (Schedule& schedule : DrawBaselineSchedules(baseline_rng)) {
+      schedules.push_back(std::move(schedule));
+    }
+  }
+  SplitMixRng rng(0xc0ff1e2025ull);
+  int rejected = 0;
+  int checked = 0;
+  for (std::size_t i = 0; i < schedules.size(); ++i) {
+    for (int round = 0; round < 8; ++round) {
+      Schedule schedule = schedules[i];
+      // Round 0 checks the schedule as generated; later rounds stack
+      // 1..3 corruptions.
+      const int corruptions = round == 0 ? 0 : 1 + static_cast<int>(rng.NextU64() % 3);
+      for (int c = 0; c < corruptions; ++c) {
+        Corrupt(schedule, rng);
+      }
+      const bool oracle = Accepts(OracleValidateSchedule, schedule);
+      const bool actual = Accepts(ValidateSchedule, schedule);
+      EXPECT_EQ(actual, oracle) << "schedule " << i << " (" << schedule.method << ") round "
+                                << round;
+      EXPECT_TRUE(round > 0 || actual) << "schedule " << i << " as generated";
+      rejected += actual ? 0 : 1;
+      ++checked;
+    }
+  }
+  // The corruptions must exercise the rejecting paths, not only the
+  // accepting one.
+  EXPECT_GT(rejected, checked / 2);
 }
 
 TEST(Generator, ChildCountPriorityStillValidates) {

@@ -4,6 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "hw/cluster.h"
 #include "model/transformer.h"
 
@@ -77,9 +79,17 @@ TEST(Planner, EvaluatedTimelinesAreDropped) {
   const auto cluster = hw::Rtx4090Cluster();
   const auto result = SearchBestStrategy(Method::kSvpp, config, cluster, 32);
   ASSERT_TRUE(result.best.has_value());
-  EXPECT_FALSE(result.best->sim.timeline.empty());  // winner re-simulated
+  // The winner is re-simulated with its timeline, sorted by (start, stage).
+  const auto& timeline = result.best->sim.timeline;
+  EXPECT_FALSE(timeline.empty());
+  EXPECT_TRUE(std::is_sorted(timeline.begin(), timeline.end(),
+                             [](const sim::OpSpan& a, const sim::OpSpan& b) {
+                               return a.start < b.start ||
+                                      (a.start == b.start && a.stage < b.stage);
+                             }));
+  // Evaluated candidates never recorded one: no buffer is held.
   for (const auto& e : result.evaluated) {
-    EXPECT_TRUE(e.sim.timeline.empty());
+    EXPECT_EQ(e.sim.timeline.capacity(), 0u);
   }
 }
 

@@ -3,8 +3,15 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <stdexcept>
+#include <string>
+#include <utility>
+#include <vector>
+
 #include "common/check.h"
 #include "sched/baselines.h"
+#include "sched/generator.h"
 #include "sched/validate.h"
 
 namespace mepipe::sched {
@@ -85,6 +92,83 @@ TEST(Schedule, DeferredWgradRequiresSplitBackward) {
   Schedule schedule = TwoStageOneMicro();
   schedule.deferred_wgrad = true;  // but split_backward is false
   EXPECT_THROW(ValidateSchedule(schedule), CheckError);
+}
+
+// Malformed ops must be rejected with a CheckError before any arena is
+// indexed with them (the ASan/UBSan jobs run this suite).
+TEST(Schedule, MalformedOpsRejected) {
+  // Split backward, static W, two stages of two micros: stage 0 lists
+  // F, B and W ops of chunk 0.
+  PipelineProblem problem;
+  problem.stages = 2;
+  problem.micros = 2;
+  problem.split_backward = true;
+  GeneratorOptions static_w;
+  static_w.wgrad = WgradPolicy::kLowestPriority;
+  const Schedule split_static = GenerateCapped(problem, static_w, "static-w");
+  ASSERT_FALSE(split_static.deferred_wgrad);
+  const auto first = [](Schedule& schedule, OpKind kind) -> OpId& {
+    for (OpId& op : schedule.stage_ops[0]) {
+      if (op.kind == kind) {
+        return op;
+      }
+    }
+    throw std::logic_error("no such op");
+  };
+  const std::vector<std::pair<std::string, std::function<void(Schedule&)>>> corruptions = {
+      {"duplicate", [](Schedule& s) { s.stage_ops[0][1] = s.stage_ops[0][0]; }},
+      {"missing", [](Schedule& s) { s.stage_ops[1].pop_back(); }},
+      {"extra", [](Schedule& s) { s.stage_ops[1].push_back(s.stage_ops[1].front()); }},
+      {"wrong stage", [](Schedule& s) { std::swap(s.stage_ops[0][0], s.stage_ops[1][0]); }},
+      {"op job tag", [](Schedule& s) { s.stage_ops[0][2].job = 1; }},
+      {"schedule job tag", [](Schedule& s) { s.job = 1; }},
+      {"gemm on F", [&](Schedule& s) { first(s, OpKind::kForward).gemm = 0; }},
+      {"Wg in static order",
+       [&](Schedule& s) {
+         OpId& w = first(s, OpKind::kWeightGrad);
+         w.kind = OpKind::kWeightGradGemm;
+         w.gemm = 0;
+       }},
+      {"Wg without gemm",
+       [&](Schedule& s) { first(s, OpKind::kWeightGrad).kind = OpKind::kWeightGradGemm; }},
+      {"DP bucket in static order",
+       [&](Schedule& s) { first(s, OpKind::kWeightGrad) = DpSyncOp(0); }},
+      {"unknown kind", [](Schedule& s) { s.stage_ops[0][0].kind = static_cast<OpKind>(9); }},
+      {"micro -1", [](Schedule& s) { s.stage_ops[0][0].micro = -1; }},
+      {"micro n", [](Schedule& s) { s.stage_ops[0][0].micro = 2; }},
+      {"micro huge", [](Schedule& s) { s.stage_ops[0][0].micro = 1 << 30; }},
+      {"slice -1", [](Schedule& s) { s.stage_ops[0][0].slice = -1; }},
+      {"slice s", [](Schedule& s) { s.stage_ops[0][0].slice = 1; }},
+      {"chunk -1", [](Schedule& s) { s.stage_ops[0][0].chunk = -1; }},
+      {"chunk v*p", [](Schedule& s) { s.stage_ops[0][0].chunk = 2; }},
+      {"chunk huge", [](Schedule& s) { s.stage_ops[1][0].chunk = 1 << 30; }},
+      {"deadlocking swap",
+       [](Schedule& s) { std::swap(s.stage_ops[1][0], s.stage_ops[1][1]); }},
+  };
+  for (const auto& [what, corrupt] : corruptions) {
+    SCOPED_TRACE(what);
+    Schedule schedule = split_static;
+    corrupt(schedule);
+    EXPECT_THROW(ValidateSchedule(schedule), CheckError);
+  }
+
+  // A deferred schedule must not list W at all.
+  const Schedule deferred = GenerateCapped(problem, {}, "deferred");
+  ASSERT_TRUE(deferred.deferred_wgrad);
+  Schedule with_w = deferred;
+  with_w.stage_ops[0].push_back({OpKind::kWeightGrad, 0, 0, 0});
+  EXPECT_THROW(ValidateSchedule(with_w), CheckError);
+  // Same list size, and still executable: the last B of micro 0 (which
+  // nothing listed depends on) gives way to micro 1's W, run at the end.
+  with_w = deferred;
+  std::erase(with_w.stage_ops[0], OpId{OpKind::kBackward, 0, 0, 0});
+  with_w.stage_ops[0].push_back({OpKind::kWeightGrad, 1, 0, 0});
+  EXPECT_THROW(ValidateSchedule(with_w), CheckError);
+
+  // Tagging the schedule and its ops together stays valid.
+  Schedule tagged = split_static;
+  TagJob(tagged, 3);
+  EXPECT_NO_THROW(ValidateSchedule(tagged));
 }
 
 TEST(Schedule, FirstBackwardIndex) {
