@@ -60,11 +60,19 @@ double MeanPeakFlops(const hw::ClusterTopology& topology, const hw::StagePlaceme
   return total / layout.ranks();
 }
 
-}  // namespace
+// A memo-free build also hands the schedule out as a value.
+CandidateBuild WithScheduleCopy(CandidateBuild build) {
+  if (build.validated) {
+    build.schedule = **build.validated;
+  }
+  return build;
+}
 
-CandidateBuild BuildCandidate(const model::TransformerConfig& config,
-                              const Strategy& strategy, const hw::ClusterSpec& cluster,
-                              int global_batch, const IterationOptions& options) {
+// BuildCandidate on one tier, constructing schedules through `schedules`;
+// `schedule` is left empty.
+CandidateBuild BuildOnCluster(const model::TransformerConfig& config, const Strategy& strategy,
+                              const hw::ClusterSpec& cluster, int global_batch,
+                              const IterationOptions& options, sched::ScheduleMemo& schedules) {
   // ---- structural feasibility -------------------------------------------
   if (strategy.method == Method::kHanayo && strategy.vp != 2) {
     return InfeasibleBuild(strategy, "the Hanayo wave schedule is defined for vp=2");
@@ -146,21 +154,22 @@ CandidateBuild BuildCandidate(const model::TransformerConfig& config,
 
   // ---- schedule -------------------------------------------------------------
   build.wgrad_mode = options.wgrad_mode;
+  std::optional<sched::ValidatedSchedule> schedule;
   switch (strategy.method) {
     case Method::kGPipe:
-      build.schedule = sched::GPipeSchedule(strategy.pp, micros);
+      schedule = schedules.Capped(sched::GPipeSpec(strategy.pp, micros));
       break;
     case Method::kDapple:
-      build.schedule = sched::OneFOneBSchedule(strategy.pp, micros);
+      schedule = schedules.Capped(sched::OneFOneBSpec(strategy.pp, micros));
       break;
     case Method::kVpp:
-      build.schedule = sched::VppSchedule(strategy.pp, strategy.vp, micros);
+      schedule = schedules.Vpp(strategy.pp, strategy.vp, micros);
       break;
     case Method::kTeraPipe:
-      build.schedule = sched::TeraPipeSchedule(strategy.pp, strategy.spp, micros);
+      schedule = schedules.Capped(sched::TeraPipeSpec(strategy.pp, strategy.spp, micros));
       break;
     case Method::kZb1p:
-      build.schedule = sched::Zb1pSchedule(strategy.pp, micros);
+      schedule = schedules.Capped(sched::Zb1pSpec(strategy.pp, micros));
       build.wgrad_mode = sim::WgradMode::kFillWhole;  // ZB fills whole-W tasks
       break;
     case Method::kZbv: {
@@ -186,11 +195,11 @@ CandidateBuild BuildCandidate(const model::TransformerConfig& config,
         }
         zbv.activation_budget_units = static_cast<double>(tightest) / per_forward;
       }
-      build.schedule = sched::HandcraftedZbvSchedule(strategy.pp, micros, zbv);
+      schedule = schedules.Zbv(strategy.pp, micros, zbv);
       break;
     }
     case Method::kZbvCapped:
-      build.schedule = sched::ZbvCappedSchedule(strategy.pp, micros);
+      schedule = schedules.Capped(sched::ZbvCappedSpec(strategy.pp, micros));
       build.wgrad_mode = sim::WgradMode::kFillWhole;
       break;
     case Method::kSvpp: {
@@ -210,11 +219,11 @@ CandidateBuild BuildCandidate(const model::TransformerConfig& config,
         }
         svpp.max_inflight = decision.f;
       }
-      build.schedule = GenerateSvpp(svpp);
+      schedule = schedules.Capped(SvppSpec(svpp));
       break;
     }
     case Method::kHanayo:
-      build.schedule = sched::HanayoSchedule(strategy.pp, micros);
+      schedule = schedules.Capped(sched::HanayoSpec(strategy.pp, micros));
       break;
     case Method::kSynth: {
       // Budgeted synthesizer: statically-placed W like kZbv, ordered by
@@ -258,20 +267,23 @@ CandidateBuild BuildCandidate(const model::TransformerConfig& config,
           synth.budget[static_cast<std::size_t>(stage)] = units;
         }
       }
-      build.schedule = sched::SynthesizeSchedule(problem, synth);
+      schedule = schedules.Synth(problem, synth);
       break;
     }
   }
 
+  build.validated = std::move(schedule);
   build.feasible = true;
   build.note = "ok";
   return build;
 }
 
-CandidateBuild BuildCandidate(const model::TransformerConfig& config,
-                              const Strategy& strategy, const hw::ClusterTopology& topology,
-                              const hw::StagePlacement& placement, int global_batch,
-                              const IterationOptions& options) {
+// BuildCandidate on a topology, constructing schedules through
+// `schedules`; `schedule` is left empty.
+CandidateBuild BuildPlaced(const model::TransformerConfig& config, const Strategy& strategy,
+                           const hw::ClusterTopology& topology,
+                           const hw::StagePlacement& placement, int global_batch,
+                           const IterationOptions& options, sched::ScheduleMemo& schedules) {
   const hw::ParallelLayout layout = strategy.layout();
   for (const hw::LayoutIssue& issue : layout.Validate(topology, placement)) {
     // tp on a consumer tier narrows the search space; the engine prices it.
@@ -284,7 +296,8 @@ CandidateBuild BuildCandidate(const model::TransformerConfig& config,
   if (!ReferenceSpec(topology, placement, layout.ranks(), &reference, &error)) {
     return InfeasibleBuild(strategy, std::move(error));
   }
-  CandidateBuild build = BuildCandidate(config, strategy, reference, global_batch, options);
+  CandidateBuild build =
+      BuildOnCluster(config, strategy, reference, global_batch, options, schedules);
   build.placement = placement;
   if (!build.feasible) {
     return build;
@@ -296,6 +309,7 @@ CandidateBuild BuildCandidate(const model::TransformerConfig& config,
     // Shed layers off the slow tiers and regenerate the program order —
     // the MitigateStragglers idiom, applied to a *static* speed profile
     // relative to the fastest occupied tier.
+    const sched::ValidatedSchedule even = *build.validated;  // built for the even split
     const StageProfile profile = PlacementSlowdowns(topology, placement);
     RebalanceOptions rebalance;
     rebalance.repartition_layers = true;
@@ -307,17 +321,20 @@ CandidateBuild BuildCandidate(const model::TransformerConfig& config,
     rebalance.base_caps.resize(static_cast<std::size_t>(problem.stages));
     for (int i = 0; i < problem.stages; ++i) {
       rebalance.base_caps[static_cast<std::size_t>(i)] =
-          std::max(floor_cap, sched::PeakRetainedForwards(build.schedule, i));
+          std::max(floor_cap, sched::PeakRetainedForwards(*even, i));
     }
     build.plan = Rebalance(profile, problem, rebalance);
     if (build.plan.any_change()) {
-      sched::GeneratorOptions generator;
+      sched::CappedSpec spec;
+      spec.problem = problem;
+      spec.method = even->method + "+placed";
+      sched::GeneratorOptions& generator = spec.options;
       generator.inflight_cap = build.plan.new_caps.empty() ? rebalance.base_caps
                                                            : build.plan.new_caps;
       generator.backward_first = true;
       generator.child_count_backward_priority = true;
-      generator.wgrad = build.schedule.deferred_wgrad ? sched::WgradPolicy::kDeferred
-                                                      : sched::WgradPolicy::kLowestPriority;
+      generator.wgrad = even->deferred_wgrad ? sched::WgradPolicy::kDeferred
+                                             : sched::WgradPolicy::kLowestPriority;
       generator.b_time = problem.split_backward ? 1.0 : 2.0;
       generator.stage_time_scale.resize(static_cast<std::size_t>(problem.stages));
       for (int i = 0; i < problem.stages; ++i) {
@@ -325,8 +342,7 @@ CandidateBuild BuildCandidate(const model::TransformerConfig& config,
             profile.slowdown[static_cast<std::size_t>(i)] *
             build.plan.stage_unit_ratio(problem, i);
       }
-      build.schedule =
-          sched::GenerateCapped(problem, generator, build.schedule.method + "+placed");
+      build.validated = schedules.Capped(spec);
     }
   }
 
@@ -341,6 +357,28 @@ CandidateBuild BuildCandidate(const model::TransformerConfig& config,
     }
   }
   return build;
+}
+
+}  // namespace
+
+CandidateBuild BuildCandidate(const model::TransformerConfig& config,
+                              const Strategy& strategy, const hw::ClusterSpec& cluster,
+                              int global_batch, const IterationOptions& options) {
+  sched::ScheduleMemo schedules;
+  return WithScheduleCopy(
+      BuildOnCluster(config, strategy, cluster, global_batch, options, schedules));
+}
+
+CandidateBuild BuildCandidate(const model::TransformerConfig& config,
+                              const Strategy& strategy, const hw::ClusterTopology& topology,
+                              const hw::StagePlacement& placement, int global_batch,
+                              const IterationOptions& options, sched::ScheduleMemo* memo) {
+  if (memo != nullptr) {
+    return BuildPlaced(config, strategy, topology, placement, global_batch, options, *memo);
+  }
+  sched::ScheduleMemo local;
+  return WithScheduleCopy(
+      BuildPlaced(config, strategy, topology, placement, global_batch, options, local));
 }
 
 void WrapPlacement(sim::CostModelStack& stack, const CandidateBuild& build,
@@ -407,9 +445,10 @@ StageMemoryVerdict CheckStageMemory(const CandidateBuild& build,
 IterationResult SimulateIteration(const model::TransformerConfig& config,
                                   const Strategy& strategy, const hw::ClusterTopology& topology,
                                   const hw::StagePlacement& placement, int global_batch,
-                                  const IterationOptions& options) {
-  CandidateBuild build =
-      BuildCandidate(config, strategy, topology, placement, global_batch, options);
+                                  const IterationOptions& options, sched::ScheduleMemo* memo) {
+  sched::ScheduleMemo local;
+  CandidateBuild build = BuildCandidate(config, strategy, topology, placement, global_batch,
+                                        options, memo != nullptr ? memo : &local);
   if (!build.feasible) {
     return Infeasible(strategy, placement, std::move(build.note));
   }
@@ -421,7 +460,6 @@ IterationResult SimulateIteration(const model::TransformerConfig& config,
   const int micros = build.micros;
   const sched::PipelineProblem& problem = build.problem;
   const TrainingCostModel& costs = *build.costs;
-  sched::Schedule& schedule = build.schedule;
 
   // ---- execute ---------------------------------------------------------------
   sim::EngineOptions engine;
@@ -440,8 +478,9 @@ IterationResult SimulateIteration(const model::TransformerConfig& config,
   // adopted straggler mitigation's.
   RebalancePlan mitigation_plan;
   const RebalancePlan* layer_split = &build.plan;
+  sched::Schedule mitigated_schedule;
   auto execute = [&](const sim::CostModel& priced) {
-    sim = Simulate(schedule, priced, engine);
+    sim = Simulate(*build.validated, priced, engine);
     if (!mitigate) {
       return;
     }
@@ -462,11 +501,11 @@ IterationResult SimulateIteration(const model::TransformerConfig& config,
               : model::UniformSlices(mitigation.rebalance.seq_len, problem.slices);
     }
     MitigationReport report =
-        MitigateStragglers(schedule, priced, *options.fault_plan, mitigation);
+        MitigateStragglers(*build.validated, priced, *options.fault_plan, mitigation, memo);
     if (report.mitigated_makespan < sim.makespan) {
       unmitigated_pipeline_time = sim.makespan;
       sim = std::move(report.mitigated);
-      schedule = std::move(report.mitigated_schedule);
+      mitigated_schedule = std::move(report.mitigated_schedule);
       mitigation_plan = std::move(report.plan);
       layer_split = &mitigation_plan;
       rebalanced = true;
@@ -528,7 +567,7 @@ IterationResult SimulateIteration(const model::TransformerConfig& config,
 
   result.sim = std::move(sim);
   if (options.keep_schedule) {
-    result.schedule = std::move(schedule);
+    result.schedule = rebalanced ? std::move(mitigated_schedule) : **build.validated;
     result.activation_budget = engine.activation_budget;
   }
   return result;

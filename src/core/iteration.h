@@ -20,6 +20,7 @@
 #include "core/training_cost.h"
 #include "hw/cluster.h"
 #include "model/transformer.h"
+#include "sched/memo.h"
 #include "sched/schedule.h"
 #include "sim/engine.h"
 
@@ -155,6 +156,12 @@ struct CandidateBuild {
   sched::PipelineProblem problem;
   // Present iff feasible (TrainingCostModel has no default state).
   std::optional<TrainingCostModel> costs;
+  // The generated schedule behind the validated handle it was built as
+  // (present iff feasible; shared with the schedule memo) — what
+  // SimulateIteration hands the engine. A build made without a memo also
+  // holds a copy in `schedule` that callers may inspect or edit; editing
+  // it does not reach the handle. With a memo, `schedule` stays empty.
+  std::optional<sched::ValidatedSchedule> validated;
   sched::Schedule schedule;
   // Effective engine settings: methods with statically-filled W override
   // the caller's wgrad mode; split-backward methods get a per-stage
@@ -181,11 +188,14 @@ CandidateBuild BuildCandidate(const model::TransformerConfig& config,
 // sub-cluster (core::ReferenceSpec), sheds layers off slow tiers and
 // regenerates the program order when the occupied tiers differ in
 // speed, and sizes every stage's activation budget against its hosting
-// tier's memory.
+// tier's memory. Schedules are constructed through `memo` when one is
+// given, so a construction the memo already holds is not repeated, and
+// the build then carries the schedule in `validated` only.
 CandidateBuild BuildCandidate(const model::TransformerConfig& config,
                               const Strategy& strategy, const hw::ClusterTopology& topology,
                               const hw::StagePlacement& placement, int global_batch,
-                              const IterationOptions& options = {});
+                              const IterationOptions& options = {},
+                              sched::ScheduleMemo* memo = nullptr);
 
 // Pushes the placement's re-pricing onto `stack` (rooted at
 // *build.costs): the layer re-partition, then, on several tiers,
@@ -217,11 +227,13 @@ StageMemoryVerdict CheckStageMemory(const CandidateBuild& build,
 // explanatory note instead of throwing. Straggler rebalancing
 // (options.rebalance_stragglers with a fault plan) CHECK-fails on a
 // placement whose tiers differ in speed: the placement already owns the
-// layer split the rebalancer would move.
+// layer split the rebalancer would move. Every schedule, the straggler
+// re-plan's included, is built through `memo` when one is given.
 IterationResult SimulateIteration(const model::TransformerConfig& config,
                                   const Strategy& strategy, const hw::ClusterTopology& topology,
                                   const hw::StagePlacement& placement, int global_batch,
-                                  const IterationOptions& options = {});
+                                  const IterationOptions& options = {},
+                                  sched::ScheduleMemo* memo = nullptr);
 
 // One-tier form: `strategy` on the whole of `cluster`.
 inline IterationResult SimulateIteration(const model::TransformerConfig& config,

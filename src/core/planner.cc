@@ -267,6 +267,11 @@ PlannerResult SearchBestStrategy(Method method, const model::TransformerConfig& 
 
   const std::vector<Candidate> grid =
       EnumerateCandidates(method, topology, options, &out.invalid_placements);
+  // Schedules built by this call's exact pass, each constructed and
+  // validated once: candidates sharing a construction (a recompute pair,
+  // a candidate and its straggler re-run, the winner and its timeline
+  // re-simulation) share one schedule. Freed on return.
+  sched::ScheduleMemo schedules;
 
   // ---- phase 1: surrogate sweep + top-k selection (two_phase only) ----
   // The surrogate prices clean runs only; under a fault plan the search
@@ -336,8 +341,9 @@ PlannerResult SearchBestStrategy(Method method, const model::TransformerConfig& 
         }
       }
     }
-    IterationResult result = SimulateIteration(config, candidate.strategy, topology,
-                                               candidate.placement, global_batch, eval_options);
+    IterationResult result =
+        SimulateIteration(config, candidate.strategy, topology, candidate.placement,
+                          global_batch, eval_options, &schedules);
     ++out.simulated;
     PriceGoodput(result, options);
     // Straggler rebalancing is unsupported on a mixed-speed placement
@@ -349,7 +355,7 @@ PlannerResult SearchBestStrategy(Method method, const model::TransformerConfig& 
       mitigated_options.rebalance_stragglers = true;
       IterationResult mitigated =
           SimulateIteration(config, candidate.strategy, topology, candidate.placement,
-                            global_batch, mitigated_options);
+                            global_batch, mitigated_options, &schedules);
       ++out.simulated;
       PriceGoodput(mitigated, options);
       if (mitigated.feasible &&
@@ -373,10 +379,12 @@ PlannerResult SearchBestStrategy(Method method, const model::TransformerConfig& 
     final_options.rebalance_stragglers =
         eval_options.rebalance_stragglers || out.best->mitigation.rebalanced;
     *out.best = SimulateIteration(config, out.best->strategy, topology, out.best->placement,
-                                  global_batch, final_options);
+                                  global_batch, final_options, &schedules);
     MEPIPE_CHECK(out.best->feasible);
     PriceGoodput(*out.best, options);
   }
+  out.schedules_built = schedules.builds();
+  out.schedule_memo_hits = schedules.hits();
   return out;
 }
 

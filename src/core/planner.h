@@ -124,6 +124,10 @@ struct PlannerResult {
   int pruned = 0;                           // skipped via the lower bound
   int surrogate_priced = 0;                 // phase-1 analytic prices (two_phase)
   int cache_hits = 0;                       // of those, served from the cache
+  // The exact pass's schedule constructions (each validated once) and
+  // the requests its per-call sched::ScheduleMemo served without one.
+  int schedules_built = 0;
+  int schedule_memo_hits = 0;
   // Grid points hw::ParallelLayout::Validate rejected before evaluation
   // (a layout/placement that oversubscribes a tier, or on one tier does
   // not cover it).

@@ -594,18 +594,25 @@ double MitigationReport::improvement() const {
 MitigationReport MitigateStragglers(const sched::Schedule& schedule, const sim::CostModel& costs,
                                     const sim::FaultPlan& faults,
                                     const MitigationOptions& options) {
+  return MitigateStragglers(sched::ValidatedSchedule(schedule), costs, faults, options);
+}
+
+MitigationReport MitigateStragglers(const sched::ValidatedSchedule& validated,
+                                    const sim::CostModel& costs, const sim::FaultPlan& faults,
+                                    const MitigationOptions& options, sched::ScheduleMemo* memo) {
+  const sched::Schedule& schedule = *validated;
   const sched::PipelineProblem& problem = schedule.problem;
   faults.Validate(problem.stages);
 
   MitigationReport report;
   sim::EngineOptions clean_options = options.engine;
   clean_options.fault_plan = nullptr;
-  const sim::SimResult clean = sim::Simulate(schedule, costs, clean_options);
+  const sim::SimResult clean = sim::Simulate(validated, costs, clean_options);
   report.clean_makespan = clean.makespan;
 
   sim::EngineOptions faulted_options = options.engine;
   faulted_options.fault_plan = faults;  // copied into shared storage
-  report.faulted = sim::Simulate(schedule, costs, faulted_options);
+  report.faulted = sim::Simulate(validated, costs, faulted_options);
   report.faulted_makespan = report.faulted.makespan;
 
   report.profile =
@@ -625,7 +632,10 @@ MitigationReport MitigateStragglers(const sched::Schedule& schedule, const sim::
 
   const RebalancedCostModel mitigated_costs(costs, problem, report.plan, rebalance.config);
 
-  sched::GeneratorOptions generator;
+  sched::CappedSpec spec;
+  spec.problem = problem;
+  spec.method = schedule.method + "+rebalanced";
+  sched::GeneratorOptions& generator = spec.options;
   generator.inflight_cap = report.plan.new_caps.empty() ? rebalance.base_caps : report.plan.new_caps;
   generator.backward_first = true;
   generator.child_count_backward_priority = true;
@@ -641,10 +651,10 @@ MitigationReport MitigateStragglers(const sched::Schedule& schedule, const sim::
         report.profile.slowdown[static_cast<std::size_t>(i)] *
         report.plan.stage_unit_ratio(problem, i);
   }
-  report.mitigated_schedule =
-      sched::GenerateCapped(problem, generator, schedule.method + "+rebalanced");
-
-  report.mitigated = sim::Simulate(report.mitigated_schedule, mitigated_costs, faulted_options);
+  sched::ScheduleMemo local;
+  const sched::ValidatedSchedule mitigated = (memo != nullptr ? *memo : local).Capped(spec);
+  report.mitigated = sim::Simulate(mitigated, mitigated_costs, faulted_options);
+  report.mitigated_schedule = *mitigated;
   report.mitigated_makespan = report.mitigated.makespan;
   return report;
 }

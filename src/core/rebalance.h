@@ -32,6 +32,7 @@
 #include "model/flops.h"
 #include "model/slicing.h"
 #include "model/transformer.h"
+#include "sched/memo.h"
 #include "sched/op.h"
 #include "sched/schedule.h"
 #include "sim/cost_model.h"
@@ -317,7 +318,14 @@ struct MitigationReport {
 // slowdown, rebalances, regenerates the program order (backward-first,
 // child-count priority, per-stage time scaling), and re-simulates the
 // mitigated schedule under the same fault plan. Throws CheckError on
-// invalid inputs.
+// invalid inputs. The regenerated schedule is built through `memo` when
+// one is given (the planner's per-call memo).
+MitigationReport MitigateStragglers(const sched::ValidatedSchedule& schedule,
+                                    const sim::CostModel& costs, const sim::FaultPlan& faults,
+                                    const MitigationOptions& options = {},
+                                    sched::ScheduleMemo* memo = nullptr);
+
+// Same, on a schedule that is validated first.
 MitigationReport MitigateStragglers(const sched::Schedule& schedule, const sim::CostModel& costs,
                                     const sim::FaultPlan& faults,
                                     const MitigationOptions& options = {});

@@ -546,8 +546,9 @@ SurrogateResult SurrogatePrice(const model::TransformerConfig& config,
     }
   }
 
-  CandidateBuild build =
-      BuildCandidate(config, strategy, topology, placement, global_batch, options.iteration);
+  sched::ScheduleMemo schedules;  // builds without copying the schedule out
+  CandidateBuild build = BuildCandidate(config, strategy, topology, placement, global_batch,
+                                        options.iteration, &schedules);
   SurrogateResult result;
   result.strategy = strategy;
   result.placement = placement;
@@ -561,7 +562,7 @@ SurrogateResult SurrogatePrice(const model::TransformerConfig& config,
     table.wgrad_mode = build.wgrad_mode;
     table.activation_budget = build.activation_budget;
     table.dp_overlap = options.iteration.dp_overlap;
-    const TablePrice price = PriceScheduleTable(build.schedule, stack.model(), table);
+    const TablePrice price = PriceScheduleTable(**build.validated, stack.model(), table);
 
     result.micros = build.micros;
     result.pipeline_time = price.makespan;

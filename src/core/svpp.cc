@@ -22,8 +22,9 @@ int MaxUsefulInflight(const SvppOptions& options) {
   return Table3Inflight(options) + 2 * options.virtual_chunks * options.slices;
 }
 
-sched::Schedule GenerateSvpp(const SvppOptions& options) {
-  sched::PipelineProblem problem;
+sched::CappedSpec SvppSpec(const SvppOptions& options) {
+  sched::CappedSpec spec;
+  sched::PipelineProblem& problem = spec.problem;
   problem.stages = options.stages;
   problem.virtual_chunks = options.virtual_chunks;
   problem.slices = options.slices;
@@ -36,7 +37,7 @@ sched::Schedule GenerateSvpp(const SvppOptions& options) {
   MEPIPE_CHECK_GE(f, floor) << "SVPP variant f=" << f << " is below the v*s floor " << floor;
   f = std::min(f, MaxUsefulInflight(options));
 
-  sched::GeneratorOptions generator;
+  sched::GeneratorOptions& generator = spec.options;
   generator.inflight_cap = sched::CapSchedule(options.stages, f, floor);
   generator.backward_first = true;
   generator.child_count_backward_priority = options.reschedule_backwards;
@@ -44,9 +45,12 @@ sched::Schedule GenerateSvpp(const SvppOptions& options) {
   if (options.split_backward) {
     generator.b_time = 1.0;  // B is the activation-gradient half only
   }
-  return GenerateCapped(problem, generator,
-                        StrFormat("SVPP(v=%d,s=%d,f=%d)", options.virtual_chunks,
-                                  options.slices, f));
+  spec.method = StrFormat("SVPP(v=%d,s=%d,f=%d)", options.virtual_chunks, options.slices, f);
+  return spec;
+}
+
+sched::Schedule GenerateSvpp(const SvppOptions& options) {
+  return sched::GenerateCapped(SvppSpec(options));
 }
 
 }  // namespace mepipe::core

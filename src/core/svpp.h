@@ -46,8 +46,13 @@ int Table3Inflight(const SvppOptions& options);
 // slack (see EXPERIMENTS.md for the measurement).
 int MaxUsefulInflight(const SvppOptions& options);
 
-// Generates and validates the SVPP schedule for the given variant.
-// Throws CheckError for infeasible options (e.g. f < v·s).
+// The capped-generator inputs of the SVPP variant (f clamped to
+// MaxUsefulInflight). Throws CheckError for infeasible options (e.g.
+// f < v·s).
+sched::CappedSpec SvppSpec(const SvppOptions& options);
+
+// Generates and validates the SVPP schedule for the given variant:
+// GenerateCapped(SvppSpec(options)).
 sched::Schedule GenerateSvpp(const SvppOptions& options);
 
 }  // namespace mepipe::core

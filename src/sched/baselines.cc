@@ -32,22 +32,80 @@ VirtualStep DecodeVirtualStep(int k, int stages, int chunks, bool forward) {
 
 }  // namespace
 
-Schedule GPipeSchedule(int stages, int micros) {
-  PipelineProblem problem;
-  problem.stages = stages;
-  problem.micros = micros;
-  GeneratorOptions options;
-  options.backward_first = false;  // forwards drain first
-  return GenerateCapped(problem, options, "GPipe");
+CappedSpec GPipeSpec(int stages, int micros) {
+  CappedSpec spec;
+  spec.problem.stages = stages;
+  spec.problem.micros = micros;
+  spec.options.backward_first = false;  // forwards drain first
+  spec.method = "GPipe";
+  return spec;
 }
 
+CappedSpec OneFOneBSpec(int stages, int micros) {
+  CappedSpec spec;
+  spec.problem.stages = stages;
+  spec.problem.micros = micros;
+  spec.options.inflight_cap = CapSchedule(stages, stages, 1);
+  spec.method = "1F1B";
+  return spec;
+}
+
+CappedSpec TeraPipeSpec(int stages, int slices, int micros) {
+  CappedSpec spec;
+  spec.problem.stages = stages;
+  spec.problem.slices = slices;
+  spec.problem.micros = micros;
+  spec.options.backward_first = false;  // GPipe-like: all forwards first
+  spec.method = StrFormat("TeraPipe(s=%d)", slices);
+  return spec;
+}
+
+CappedSpec Zb1pSpec(int stages, int micros) {
+  CappedSpec spec;
+  spec.problem.stages = stages;
+  spec.problem.micros = micros;
+  spec.problem.split_backward = true;
+  spec.options.inflight_cap = CapSchedule(stages, stages, 1);
+  spec.options.wgrad = WgradPolicy::kDeferred;
+  // B here is the activation-gradient half only: roughly as long as F.
+  spec.options.b_time = 1.0;
+  spec.method = "ZB-1P";
+  return spec;
+}
+
+CappedSpec HanayoSpec(int stages, int micros) {
+  CappedSpec spec;
+  spec.problem.stages = stages;
+  spec.problem.virtual_chunks = 2;
+  spec.problem.micros = micros;
+  spec.problem.placement = ChunkPlacement::kVShape;
+  // Table 3 grants Hanayo DAPPLE-class activation memory (A): up to 2p
+  // chunk-forwards of A/(2p) each on the first stage.
+  spec.options.inflight_cap = CapSchedule(stages, 2 * stages, 2);
+  spec.method = "Hanayo";
+  return spec;
+}
+
+CappedSpec ZbvCappedSpec(int stages, int micros) {
+  CappedSpec spec;
+  spec.problem.stages = stages;
+  spec.problem.virtual_chunks = 2;
+  spec.problem.micros = micros;
+  spec.problem.split_backward = true;
+  spec.problem.placement = ChunkPlacement::kVShape;
+  // V-shape pairs each stage's two chunks symmetrically; cap p keeps the
+  // retained-forward profile in the 1F1B family (ZBV's design goal).
+  spec.options.inflight_cap = CapSchedule(stages, std::max(stages, 2), 2);
+  spec.options.wgrad = WgradPolicy::kDeferred;
+  spec.options.b_time = 1.0;
+  spec.method = "ZBV-capped";
+  return spec;
+}
+
+Schedule GPipeSchedule(int stages, int micros) { return GenerateCapped(GPipeSpec(stages, micros)); }
+
 Schedule OneFOneBSchedule(int stages, int micros) {
-  PipelineProblem problem;
-  problem.stages = stages;
-  problem.micros = micros;
-  GeneratorOptions options;
-  options.inflight_cap = CapSchedule(stages, stages, 1);
-  return GenerateCapped(problem, options, "1F1B");
+  return GenerateCapped(OneFOneBSpec(stages, micros));
 }
 
 Schedule VppSchedule(int stages, int virtual_chunks, int micros) {
@@ -93,39 +151,13 @@ Schedule VppSchedule(int stages, int virtual_chunks, int micros) {
 }
 
 Schedule TeraPipeSchedule(int stages, int slices, int micros) {
-  PipelineProblem problem;
-  problem.stages = stages;
-  problem.slices = slices;
-  problem.micros = micros;
-  GeneratorOptions options;
-  options.backward_first = false;  // GPipe-like: all forwards first
-  return GenerateCapped(problem, options, StrFormat("TeraPipe(s=%d)", slices));
+  return GenerateCapped(TeraPipeSpec(stages, slices, micros));
 }
 
-Schedule Zb1pSchedule(int stages, int micros) {
-  PipelineProblem problem;
-  problem.stages = stages;
-  problem.micros = micros;
-  problem.split_backward = true;
-  GeneratorOptions options;
-  options.inflight_cap = CapSchedule(stages, stages, 1);
-  options.wgrad = WgradPolicy::kDeferred;
-  // B here is the activation-gradient half only: roughly as long as F.
-  options.b_time = 1.0;
-  return GenerateCapped(problem, options, "ZB-1P");
-}
+Schedule Zb1pSchedule(int stages, int micros) { return GenerateCapped(Zb1pSpec(stages, micros)); }
 
 Schedule HanayoSchedule(int stages, int micros) {
-  PipelineProblem problem;
-  problem.stages = stages;
-  problem.virtual_chunks = 2;
-  problem.micros = micros;
-  problem.placement = ChunkPlacement::kVShape;
-  GeneratorOptions options;
-  // Table 3 grants Hanayo DAPPLE-class activation memory (A): up to 2p
-  // chunk-forwards of A/(2p) each on the first stage.
-  options.inflight_cap = CapSchedule(stages, 2 * stages, 2);
-  return GenerateCapped(problem, options, "Hanayo");
+  return GenerateCapped(HanayoSpec(stages, micros));
 }
 
 Schedule ZbvSchedule(int stages, int micros) {
@@ -133,19 +165,7 @@ Schedule ZbvSchedule(int stages, int micros) {
 }
 
 Schedule ZbvCappedSchedule(int stages, int micros) {
-  PipelineProblem problem;
-  problem.stages = stages;
-  problem.virtual_chunks = 2;
-  problem.micros = micros;
-  problem.split_backward = true;
-  problem.placement = ChunkPlacement::kVShape;
-  GeneratorOptions options;
-  // V-shape pairs each stage's two chunks symmetrically; cap p keeps the
-  // retained-forward profile in the 1F1B family (ZBV's design goal).
-  options.inflight_cap = CapSchedule(stages, std::max(stages, 2), 2);
-  options.wgrad = WgradPolicy::kDeferred;
-  options.b_time = 1.0;
-  return GenerateCapped(problem, options, "ZBV-capped");
+  return GenerateCapped(ZbvCappedSpec(stages, micros));
 }
 
 }  // namespace mepipe::sched

@@ -10,6 +10,7 @@
 #ifndef MEPIPE_SCHED_BASELINES_H_
 #define MEPIPE_SCHED_BASELINES_H_
 
+#include "sched/generator.h"
 #include "sched/schedule.h"
 
 namespace mepipe::sched {
@@ -45,6 +46,16 @@ Schedule ZbvCappedSchedule(int stages, int micros);
 // shape-approximation via the capped generator; its Table 3 profile
 // (VPP-class bubble, DAPPLE-class memory) is what the analysis uses.
 Schedule HanayoSchedule(int stages, int micros);
+
+// The generator inputs behind the capped baselines above:
+// XSchedule(args) is GenerateCapped(XSpec(args)). Callers that memoize
+// constructions (sched/memo.h) key them by these specs.
+CappedSpec GPipeSpec(int stages, int micros);
+CappedSpec OneFOneBSpec(int stages, int micros);
+CappedSpec TeraPipeSpec(int stages, int slices, int micros);
+CappedSpec Zb1pSpec(int stages, int micros);
+CappedSpec ZbvCappedSpec(int stages, int micros);
+CappedSpec HanayoSpec(int stages, int micros);
 
 }  // namespace mepipe::sched
 

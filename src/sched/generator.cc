@@ -41,6 +41,10 @@ struct GeneratorState {
   // reservation-based admission that keeps capped generation
   // deadlock-free (see AdmitForward).
   std::vector<std::vector<int>> fwd_scheduled;
+  // Per stage, the oldest micro-batch with forwards still unscheduled
+  // (`micros` once all are done). The counts above only grow, so it only
+  // moves forward: ScheduleForward advances it past completed micros.
+  std::vector<int> oldest_open;
 
   explicit GeneratorState(const PipelineProblem& p, const GeneratorOptions& o)
       : problem(p),
@@ -56,6 +60,7 @@ struct GeneratorState {
         order(static_cast<std::size_t>(p.stages)),
         fwd_scheduled(static_cast<std::size_t>(p.stages),
                       std::vector<int>(static_cast<std::size_t>(p.micros), 0)),
+        oldest_open(static_cast<std::size_t>(p.stages), 0),
         last_kind(static_cast<std::size_t>(p.stages), OpKind::kForward) {}
 
   // Admission control for forwards under the memory cap. Admitting any
@@ -69,20 +74,28 @@ struct GeneratorState {
     if (in_flight >= cap) {
       return false;
     }
-    const int per_micro = problem.virtual_chunks * problem.slices;
-    const auto& scheduled = fwd_scheduled[static_cast<std::size_t>(stage)];
-    int oldest = -1;
-    for (int m = 0; m < problem.micros; ++m) {
-      if (scheduled[static_cast<std::size_t>(m)] < per_micro) {
-        oldest = m;
-        break;
-      }
-    }
-    if (oldest < 0 || op.micro <= oldest) {
+    const auto s = static_cast<std::size_t>(stage);
+    const int oldest = oldest_open[s];
+    if (oldest == problem.micros || op.micro <= oldest) {
       return true;  // the oldest micro itself is never starved
     }
-    const int remaining = per_micro - scheduled[static_cast<std::size_t>(oldest)];
+    const int remaining = per_micro() - fwd_scheduled[s][static_cast<std::size_t>(oldest)];
     return in_flight + 1 + remaining <= cap;
+  }
+
+  int per_micro() const { return problem.virtual_chunks * problem.slices; }
+
+  // Books a scheduled forward: one more retained forward on the stage,
+  // and the oldest-open pointer moves past micros whose forwards are done.
+  void ScheduleForward(int stage, const OpId& op) {
+    const auto s = static_cast<std::size_t>(stage);
+    ++inflight[s];
+    auto& scheduled = fwd_scheduled[s];
+    ++scheduled[static_cast<std::size_t>(op.micro)];
+    int& oldest = oldest_open[s];
+    while (oldest < problem.micros && scheduled[static_cast<std::size_t>(oldest)] == per_micro()) {
+      ++oldest;
+    }
   }
 
   int cap(int stage) const {
@@ -383,9 +396,7 @@ Schedule GenerateCapped(const PipelineProblem& problem, const GeneratorOptions& 
       state.MarkDone(op, end, emit_w_static);
       state.order[static_cast<std::size_t>(stage)].push_back(op);
       if (op.kind == OpKind::kForward) {
-        ++state.inflight[static_cast<std::size_t>(stage)];
-        ++state.fwd_scheduled[static_cast<std::size_t>(stage)]
-                             [static_cast<std::size_t>(op.micro)];
+        state.ScheduleForward(stage, op);
       } else if (op.kind == OpKind::kBackward) {
         --state.inflight[static_cast<std::size_t>(stage)];
       }

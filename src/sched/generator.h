@@ -91,6 +91,8 @@ struct GeneratorOptions {
   // generation). GenerateCapped runs this at entry and throws
   // CheckError with the full issue list.
   std::vector<GeneratorIssue> Validate(int stages) const;
+
+  friend bool operator==(const GeneratorOptions&, const GeneratorOptions&) = default;
 };
 
 // Builds the cap vector cap_i = max(min_cap, f - i) for `stages` stages.
@@ -100,6 +102,21 @@ std::vector<int> CapSchedule(int stages, int f, int min_cap);
 // make the problem unschedulable (e.g. a cap below v·s).
 Schedule GenerateCapped(const PipelineProblem& problem, const GeneratorOptions& options,
                         std::string method_name);
+
+// Everything one GenerateCapped call reads. The output is a pure function
+// of it, so equal specs generate identical schedules — this is the key
+// the schedule memo (sched/memo.h) builds capped schedules under.
+struct CappedSpec {
+  PipelineProblem problem;
+  GeneratorOptions options;
+  std::string method;
+
+  friend bool operator==(const CappedSpec&, const CappedSpec&) = default;
+};
+
+inline Schedule GenerateCapped(const CappedSpec& spec) {
+  return GenerateCapped(spec.problem, spec.options, spec.method);
+}
 
 }  // namespace mepipe::sched
 

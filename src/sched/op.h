@@ -76,13 +76,31 @@ struct PipelineProblem {
 
   int num_chunks() const { return virtual_chunks * stages; }
 
-  int stage_of_chunk(int chunk) const;
+  // Owning stage of a global chunk. Forced inline: generation,
+  // validation and the engine call it per dependency edge, and the
+  // engine's event loop is too large for the inliner's own budget.
+  // Out-of-range chunks throw CheckError.
+  [[gnu::always_inline]] int stage_of_chunk(int chunk) const {
+    if (chunk < 0 || chunk >= num_chunks()) [[unlikely]] {
+      ChunkOutOfRange(chunk);
+    }
+    const int offset = chunk % stages;
+    if (placement == ChunkPlacement::kVShape && (chunk / stages) % 2 == 1) {
+      return stages - 1 - offset;  // zig-zag: 0,1,…,p-1, then p-1,…,1,0
+    }
+    return offset;
+  }
 
   // Compute ops per stage in a full iteration (excluding per-GEMM splits):
   // n·s·v forwards, n·s·v backwards (+ n·s·v weight grads when split).
   std::int64_t ops_per_stage() const;
 
   void Validate() const;  // throws CheckError on malformed instances
+
+  friend bool operator==(const PipelineProblem&, const PipelineProblem&) = default;
+
+ private:
+  [[noreturn]] void ChunkOutOfRange(int chunk) const;
 };
 
 // The one dense layout of a problem's F/B/W ops: three kind planes

@@ -16,6 +16,11 @@ void TagJob(Schedule& schedule, int job) {
   }
 }
 
+ValidatedSchedule::ValidatedSchedule(Schedule schedule) {
+  ValidateSchedule(schedule);
+  schedule_ = std::make_shared<const Schedule>(std::move(schedule));
+}
+
 void ValidateSchedule(const Schedule& schedule) {
   const PipelineProblem& problem = schedule.problem;
   problem.Validate();

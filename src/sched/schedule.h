@@ -4,6 +4,7 @@
 #ifndef MEPIPE_SCHED_SCHEDULE_H_
 #define MEPIPE_SCHED_SCHEDULE_H_
 
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -39,6 +40,31 @@ void TagJob(Schedule& schedule, int job);
 // stage, ops on the wrong stage, or a program order that deadlocks under
 // the dependency semantics.
 void ValidateSchedule(const Schedule& schedule);
+
+// A schedule that passed ValidateSchedule, frozen behind a shared
+// immutable handle: the proof sim::Simulate accepts in place of its own
+// check. Every handle is minted by validating — by the public
+// constructor, or by ScheduleMemo (sched/memo.h) around a sched/
+// constructor that validated what it built — and its schedule can never
+// change afterwards, so the proof cannot go stale. Copies share one
+// schedule. Editing (TagJob, a straggler re-plan) works on a copy of
+// *handle, which must be validated again to become a handle.
+class ValidatedSchedule {
+ public:
+  // Runs ValidateSchedule (throws CheckError) and freezes `schedule`.
+  explicit ValidatedSchedule(Schedule schedule);
+
+  const Schedule& operator*() const { return *schedule_; }
+  const Schedule* operator->() const { return schedule_.get(); }
+
+ private:
+  friend class ScheduleMemo;
+  struct Trusted {};
+  ValidatedSchedule(Schedule schedule, Trusted)
+      : schedule_(std::make_shared<const Schedule>(std::move(schedule))) {}
+
+  std::shared_ptr<const Schedule> schedule_;
+};
 
 // Index of the first backward op in `stage`'s program order (the paper's
 // "number of forward passes before the first backward" when all earlier

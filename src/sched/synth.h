@@ -67,6 +67,8 @@ struct SynthOptions {
   int max_leaves = 256;
   // Schedule::method label; empty selects "Synth(v=..,cap=..)".
   std::string method_name;
+
+  friend bool operator==(const SynthOptions&, const SynthOptions&) = default;
 };
 
 // Synthesis diagnostics (all filled by SynthesizeSchedule).

@@ -68,6 +68,8 @@ struct ZbvOptions {
   // makespan-only selection).
   double act_grad_weight = 0.0;
   double activation_budget_units = 0.0;
+
+  friend bool operator==(const ZbvOptions&, const ZbvOptions&) = default;
 };
 
 // One fill-policy variant's measured profile, for tests and diagnostics.

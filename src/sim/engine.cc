@@ -436,8 +436,6 @@ class Engine {
 };
 
 SimResult Engine::Run() {
-  sched::ValidateSchedule(schedule_);
-
   std::size_t remaining = 0;
   for (const auto& ops : schedule_.stage_ops) {
     remaining += ops.size();
@@ -598,7 +596,13 @@ SimResult Engine::Run() {
 
 SimResult Simulate(const sched::Schedule& schedule, const CostModel& costs,
                    const EngineOptions& options) {
+  sched::ValidateSchedule(schedule);
   return Engine(schedule, costs, options).Run();
+}
+
+SimResult Simulate(const sched::ValidatedSchedule& schedule, const CostModel& costs,
+                   const EngineOptions& options) {
+  return Engine(*schedule, costs, options).Run();
 }
 
 }  // namespace mepipe::sim

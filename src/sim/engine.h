@@ -154,6 +154,11 @@ struct SimResult {
 SimResult Simulate(const sched::Schedule& schedule, const CostModel& costs,
                    const EngineOptions& options = {});
 
+// Same run on a schedule whose validation is already proven
+// (sched::ValidatedSchedule): the engine skips its own check.
+SimResult Simulate(const sched::ValidatedSchedule& schedule, const CostModel& costs,
+                   const EngineOptions& options = {});
+
 }  // namespace mepipe::sim
 
 #endif  // MEPIPE_SIM_ENGINE_H_

@@ -41,6 +41,36 @@ TEST(EngineErrors, IncompleteScheduleThrows) {
   EXPECT_THROW(Simulate(schedule, costs), CheckError);
 }
 
+TEST(EngineErrors, HandBuiltAndCorruptedSchedulesAreStillValidated) {
+  // Simulate on a plain Schedule always validates: a hand-built order, or
+  // a copy of a validated handle edited afterwards, is checked again.
+  const UniformCostModel costs(1.0, 2.0, 0.0, 0.0);
+  const sched::ValidatedSchedule handle(sched::OneFOneBSchedule(4, 8));
+  const SimResult trusted = Simulate(handle, costs);
+  EXPECT_EQ(trusted.makespan, Simulate(*handle, costs).makespan);
+
+  sched::Schedule corrupted = *handle;
+  std::swap(corrupted.stage_ops[3][0], corrupted.stage_ops[3][1]);  // B(0) before F(0)
+  EXPECT_THROW(Simulate(corrupted, costs), CheckError);
+  corrupted = *handle;
+  corrupted.stage_ops[1].push_back(corrupted.stage_ops[1].front());  // duplicate op
+  EXPECT_THROW(Simulate(corrupted, costs), CheckError);
+  // Re-tagging the copy of a job-0 handle leaves one op behind: caught.
+  corrupted = *handle;
+  sched::TagJob(corrupted, 2);
+  corrupted.stage_ops[0][0].job = 0;
+  EXPECT_THROW(Simulate(corrupted, costs), CheckError);
+  // Validating a corrupted schedule into a handle throws too.
+  EXPECT_THROW(sched::ValidatedSchedule{corrupted}, CheckError);
+  sched::Schedule hand = TwoStageOneMicro();
+  hand.stage_ops[0].pop_back();
+  EXPECT_THROW(Simulate(hand, costs), CheckError);
+  EXPECT_THROW(sched::ValidatedSchedule{hand}, CheckError);
+  // The handle itself never changed.
+  EXPECT_EQ(Simulate(handle, costs).makespan, trusted.makespan);
+  EXPECT_EQ(handle->job, 0);
+}
+
 TEST(EngineErrors, NegativeBudgetThrows) {
   const auto schedule = sched::OneFOneBSchedule(2, 2);
   const UniformCostModel costs(1.0, 2.0, 0.0, 0.0, /*act_bytes=*/10);

@@ -5,6 +5,8 @@
 
 #include <algorithm>
 #include <functional>
+#include <limits>
+#include <unordered_map>
 #include <unordered_set>
 #include <utility>
 #include <vector>
@@ -425,6 +427,206 @@ TEST(GeneratorFuzz, ValidatorAgreesWithHashSetOracleUnderCorruption) {
   // The corruptions must exercise the rejecting paths, not only the
   // accepting one.
   EXPECT_GT(rejected, checked / 2);
+}
+
+// The capped generator as it was before incremental readiness and the
+// per-stage oldest-open-micro pointer, kept as the reference: every
+// round rescans each stage's pending ops in StageOps order, resolves
+// readiness from a hash map of finished ops, and finds the oldest
+// forward-incomplete micro by a linear scan from micro 0.
+Schedule OracleGenerateCapped(const PipelineProblem& problem, const GeneratorOptions& options) {
+  const bool emit_w_static = problem.split_backward && options.wgrad != WgradPolicy::kDeferred;
+  const auto p = static_cast<std::size_t>(problem.stages);
+  std::vector<std::vector<OpId>> pending(p);
+  for (int stage = 0; stage < problem.stages; ++stage) {
+    for (const OpId& op : StageOps(problem, stage)) {
+      if (op.kind != OpKind::kWeightGrad || emit_w_static) {
+        pending[static_cast<std::size_t>(stage)].push_back(op);
+      }
+    }
+  }
+  std::unordered_map<OpId, double, OpIdHash> end_of;
+  std::vector<double> stage_free(p, 0.0);
+  std::vector<int> inflight(p, 0);
+  std::vector<std::vector<int>> fwd_scheduled(
+      p, std::vector<int>(static_cast<std::size_t>(problem.micros), 0));
+  std::vector<OpKind> last_kind(p, OpKind::kForward);
+  const int per_micro = problem.virtual_chunks * problem.slices;
+  const auto admit = [&](int stage, const OpId& op, int cap) {
+    const int in_flight = inflight[static_cast<std::size_t>(stage)];
+    if (in_flight >= cap) {
+      return false;
+    }
+    const auto& scheduled = fwd_scheduled[static_cast<std::size_t>(stage)];
+    int oldest = -1;
+    for (int m = 0; m < problem.micros; ++m) {
+      if (scheduled[static_cast<std::size_t>(m)] < per_micro) {
+        oldest = m;
+        break;
+      }
+    }
+    if (oldest < 0 || op.micro <= oldest) {
+      return true;
+    }
+    return in_flight + 1 + (per_micro - scheduled[static_cast<std::size_t>(oldest)]) <= cap;
+  };
+  const auto priority = [&](int stage, const OpId& op) -> std::int64_t {
+    const bool prefer_backward = options.backward_first &&
+                                 last_kind[static_cast<std::size_t>(stage)] != OpKind::kBackward;
+    std::int64_t kind_rank = 0;
+    if (op.kind == OpKind::kBackward) {
+      kind_rank = prefer_backward ? 0 : 1;
+    } else if (op.kind == OpKind::kForward) {
+      kind_rank = prefer_backward ? 1 : 0;
+    } else {
+      kind_rank = options.wgrad == WgradPolicy::kImmediate ? 0 : 2;
+    }
+    if (options.child_count_backward_priority && op.kind == OpKind::kBackward) {
+      const std::int64_t children = static_cast<std::int64_t>(op.slice + 1) * (op.chunk + 1) - 1;
+      const std::int64_t max_children =
+          static_cast<std::int64_t>(problem.slices) * problem.num_chunks();
+      return ((kind_rank * 4096 + op.micro) * 4096 * 4096) + (max_children - children);
+    }
+    const bool backwardish = op.kind != OpKind::kForward;
+    const std::int64_t chunk_rank = backwardish ? problem.num_chunks() - 1 - op.chunk : op.chunk;
+    const std::int64_t slice_rank = backwardish ? problem.slices - 1 - op.slice : op.slice;
+    return ((kind_rank * 4096 + op.micro) * 4096 + chunk_rank) * 4096 + slice_rank;
+  };
+  const double lookahead =
+      options.lookahead >= 0 ? options.lookahead : 2.0 * options.transfer_time;
+
+  Schedule schedule;
+  schedule.problem = problem;
+  schedule.method = "oracle";
+  schedule.stage_ops.resize(p);
+  schedule.deferred_wgrad = problem.split_backward && options.wgrad == WgradPolicy::kDeferred;
+  double now = 0.0;
+  std::size_t remaining = 0;
+  for (const auto& ops : pending) {
+    remaining += ops.size();
+  }
+  while (remaining > 0) {
+    bool scheduled_any = false;
+    double next_event = std::numeric_limits<double>::infinity();
+    for (int stage = 0; stage < problem.stages; ++stage) {
+      auto& ops = pending[static_cast<std::size_t>(stage)];
+      const double free_at = stage_free[static_cast<std::size_t>(stage)];
+      if (ops.empty()) {
+        continue;
+      }
+      if (free_at > now) {
+        next_event = std::min(next_event, free_at);
+        continue;
+      }
+      const int cap =
+          options.inflight_cap.empty() ? 0 : options.inflight_cap[static_cast<std::size_t>(stage)];
+      std::size_t best = ops.size();
+      std::int64_t best_priority = 0;
+      double best_ready = 0.0;
+      for (std::size_t i = 0; i < ops.size(); ++i) {
+        const OpId& op = ops[i];
+        double ready = 0.0;
+        bool unlocked = true;
+        for (const Dep& dep : DependenciesOf(problem, op)) {
+          const auto done = end_of.find(dep.op);
+          if (done == end_of.end()) {
+            unlocked = false;
+            break;
+          }
+          ready = std::max(ready, done->second + (dep.cross_stage ? options.transfer_time : 0.0));
+        }
+        if (!unlocked) {
+          continue;
+        }
+        if (ready > now + lookahead) {
+          next_event = std::min(next_event, ready);
+          continue;
+        }
+        if (op.kind == OpKind::kForward && cap > 0 && !admit(stage, op, cap)) {
+          continue;
+        }
+        const std::int64_t rank = priority(stage, op);
+        if (best == ops.size() || rank < best_priority) {  // ties: first in stage order
+          best = i;
+          best_priority = rank;
+          best_ready = ready;
+        }
+      }
+      if (best == ops.size()) {
+        continue;
+      }
+      const OpId op = ops[best];
+      double duration = op.kind == OpKind::kForward    ? options.f_time
+                        : op.kind == OpKind::kBackward ? options.b_time
+                                                       : options.w_time;
+      if (!options.stage_time_scale.empty()) {
+        duration *= options.stage_time_scale[static_cast<std::size_t>(stage)];
+      }
+      const double end = std::max(now, best_ready) + duration;
+      end_of[op] = end;
+      schedule.stage_ops[static_cast<std::size_t>(stage)].push_back(op);
+      if (op.kind == OpKind::kForward) {
+        ++inflight[static_cast<std::size_t>(stage)];
+        ++fwd_scheduled[static_cast<std::size_t>(stage)][static_cast<std::size_t>(op.micro)];
+      } else if (op.kind == OpKind::kBackward) {
+        --inflight[static_cast<std::size_t>(stage)];
+      }
+      if (op.kind == OpKind::kForward || op.kind == OpKind::kBackward) {
+        last_kind[static_cast<std::size_t>(stage)] = op.kind;
+      }
+      stage_free[static_cast<std::size_t>(stage)] = end;
+      ops.erase(ops.begin() + static_cast<std::ptrdiff_t>(best));
+      --remaining;
+      scheduled_any = true;
+      next_event = std::min(next_event, end);
+    }
+    if (!scheduled_any) {
+      MEPIPE_CHECK_LT(next_event, std::numeric_limits<double>::infinity()) << "oracle deadlocked";
+      now = next_event;
+    }
+  }
+  return schedule;
+}
+
+// GenerateCapped agrees op for op with the reference generator on every
+// fuzz shape of DrawOptionShape, as drawn (capped, deferred or
+// lowest-priority W) and widened by a second stream of draws to
+// uncapped runs, immediate W and non-uniform stage time scales.
+TEST(GeneratorFuzz, MatchesTheLinearScanOracle) {
+  SplitMixRng rng(kOptionFuzzSeed);
+  SplitMixRng widen(0x0b5e55ed2025ull);
+  int uncapped = 0;
+  int immediate = 0;
+  int scaled = 0;
+  for (int trial = 0; trial < kOptionFuzzTrials; ++trial) {
+    const RandomShape shape = DrawOptionShape(rng);
+    RandomShape wide = shape;
+    if (widen.NextU64() % 4 == 0) {
+      wide.options.inflight_cap.clear();
+    }
+    if (wide.problem.split_backward) {
+      wide.options.wgrad = static_cast<WgradPolicy>(widen.NextU64() % 3);
+    }
+    if (widen.NextU64() & 1) {
+      wide.options.stage_time_scale.resize(static_cast<std::size_t>(wide.problem.stages));
+      for (double& scale : wide.options.stage_time_scale) {
+        scale = 0.5 + static_cast<double>(widen.NextU64() % 5) * 0.5;  // 0.5 .. 2.5
+      }
+    }
+    uncapped += wide.options.inflight_cap.empty() ? 1 : 0;
+    immediate += wide.options.wgrad == WgradPolicy::kImmediate ? 1 : 0;
+    scaled += wide.options.stage_time_scale.empty() ? 0 : 1;
+    for (const RandomShape* s : {&shape, static_cast<const RandomShape*>(&wide)}) {
+      SCOPED_TRACE("trial " + std::to_string(trial) + (s == &wide ? " widened" : " as drawn"));
+      const Schedule actual = GenerateCapped(s->problem, s->options, "fuzz");
+      const Schedule oracle = OracleGenerateCapped(s->problem, s->options);
+      EXPECT_EQ(actual.stage_ops, oracle.stage_ops);
+      EXPECT_EQ(actual.deferred_wgrad, oracle.deferred_wgrad);
+    }
+  }
+  EXPECT_GT(uncapped, 0);
+  EXPECT_GT(immediate, 0);
+  EXPECT_GT(scaled, 0);
 }
 
 TEST(Generator, ChildCountPriorityStillValidates) {

@@ -5,9 +5,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <string>
+#include <vector>
 
 #include "hw/cluster.h"
 #include "model/transformer.h"
+#include "sched/memo.h"
 
 namespace mepipe::core {
 namespace {
@@ -596,6 +599,235 @@ TEST(Planner, GoodputPruningKeepsTheWinner) {
   EXPECT_NEAR(a.best->goodput.effective_iteration_time,
               b.best->goodput.effective_iteration_time, 1e-9);
   EXPECT_EQ(a.evaluated.size(), b.evaluated.size());
+}
+
+
+// ---- per-call schedule memo: memoized results equal fresh builds ---------
+
+// Field-for-field equality of two iteration results (bitwise on every
+// floating-point field).
+void ExpectSameResult(const IterationResult& a, const IterationResult& b) {
+  EXPECT_EQ(a.strategy.ToString(), b.strategy.ToString());
+  EXPECT_EQ(a.placement.ToString(), b.placement.ToString());
+  EXPECT_EQ(a.feasible, b.feasible);
+  EXPECT_EQ(a.note, b.note);
+  EXPECT_EQ(a.micros, b.micros);
+  EXPECT_EQ(a.pipeline_time, b.pipeline_time);
+  EXPECT_EQ(a.mitigation.rebalanced, b.mitigation.rebalanced);
+  EXPECT_EQ(a.mitigation.unmitigated_pipeline_time, b.mitigation.unmitigated_pipeline_time);
+  EXPECT_EQ(a.dp.overlapped, b.dp.overlapped);
+  EXPECT_EQ(a.dp.serialized, b.dp.serialized);
+  EXPECT_EQ(a.dp.hidden, b.dp.hidden);
+  EXPECT_EQ(a.dp.exposed, b.dp.exposed);
+  EXPECT_EQ(a.dp_sync_time, b.dp_sync_time);
+  EXPECT_EQ(a.iteration_time, b.iteration_time);
+  EXPECT_EQ(a.bubble_ratio, b.bubble_ratio);
+  EXPECT_EQ(a.static_memory, b.static_memory);
+  EXPECT_EQ(a.peak_activation, b.peak_activation);
+  EXPECT_EQ(a.peak_memory, b.peak_memory);
+  EXPECT_EQ(a.checkpoint_shard, b.checkpoint_shard);
+  EXPECT_EQ(a.checkpoint_state, b.checkpoint_state);
+  EXPECT_EQ(a.goodput.priced, b.goodput.priced);
+  EXPECT_EQ(a.per_gpu_flops, b.per_gpu_flops);
+  EXPECT_EQ(a.mfu, b.mfu);
+  EXPECT_EQ(a.dollars.fleet_usd_per_hour, b.dollars.fleet_usd_per_hour);
+  EXPECT_EQ(a.dollars.wan_egress_bytes, b.dollars.wan_egress_bytes);
+  EXPECT_EQ(a.dollars.usd_per_iteration, b.dollars.usd_per_iteration);
+  EXPECT_EQ(a.sim.makespan, b.sim.makespan);
+  EXPECT_EQ(a.sim.bubble_ratio, b.sim.bubble_ratio);
+  EXPECT_EQ(a.sim.peak_activation, b.sim.peak_activation);
+  EXPECT_EQ(a.sim.budget_violations, b.sim.budget_violations);
+  EXPECT_EQ(a.sim.dp.serialized, b.sim.dp.serialized);
+  EXPECT_EQ(a.sim.dp.last_end, b.sim.dp.last_end);
+  EXPECT_EQ(a.sim.dp.buckets, b.sim.dp.buckets);
+  ASSERT_EQ(a.sim.stages.size(), b.sim.stages.size());
+  for (std::size_t i = 0; i < a.sim.stages.size(); ++i) {
+    const sim::StageMetrics& x = a.sim.stages[i];
+    const sim::StageMetrics& y = b.sim.stages[i];
+    EXPECT_EQ(x.busy, y.busy) << "stage " << i;
+    EXPECT_EQ(x.peak_activation, y.peak_activation) << "stage " << i;
+    EXPECT_EQ(x.bubble_ratio, y.bubble_ratio) << "stage " << i;
+    EXPECT_EQ(x.warmup_idle, y.warmup_idle) << "stage " << i;
+    EXPECT_EQ(x.steady_idle, y.steady_idle) << "stage " << i;
+    EXPECT_EQ(x.drain_idle, y.drain_idle) << "stage " << i;
+    EXPECT_EQ(x.budget_violations, y.budget_violations) << "stage " << i;
+    EXPECT_EQ(x.budget_overflow_bytes, y.budget_overflow_bytes) << "stage " << i;
+  }
+  EXPECT_EQ(a.schedule.method, b.schedule.method);
+  EXPECT_EQ(a.schedule.stage_ops, b.schedule.stage_ops);
+  EXPECT_EQ(a.activation_budget, b.activation_budget);
+  ASSERT_EQ(a.sim.timeline.size(), b.sim.timeline.size());
+  for (std::size_t i = 0; i < a.sim.timeline.size(); ++i) {
+    const sim::OpSpan& x = a.sim.timeline[i];
+    const sim::OpSpan& y = b.sim.timeline[i];
+    EXPECT_TRUE(x.stage == y.stage && x.op == y.op && x.start == y.start && x.end == y.end &&
+                x.is_transfer == y.is_transfer)
+        << "span " << i;
+  }
+}
+
+struct MemoCase {
+  std::string name;
+  Method method;
+  model::TransformerConfig config;
+  hw::ClusterTopology topology;
+  int global_batch;
+  PlannerOptions options;
+};
+
+// Runs the search (which builds through its per-call memo) and checks
+// every evaluated entry, and the winner with its timeline, against a
+// memo-free SimulateIteration of the same candidate.
+PlannerResult ExpectMemoizedSearchMatchesFreshBuilds(const MemoCase& c) {
+  SCOPED_TRACE(c.name);
+  const PlannerResult result =
+      SearchBestStrategy(c.method, c.config, c.topology, c.global_batch, c.options);
+  IterationOptions eval = c.options.iteration;
+  eval.keep_timeline = false;
+  if (c.options.fault_plan) {
+    eval.fault_plan = c.options.fault_plan;
+  }
+  EXPECT_FALSE(result.evaluated.empty());
+  for (const IterationResult& entry : result.evaluated) {
+    SCOPED_TRACE(entry.strategy.ToString() + " on " + entry.placement.ToString());
+    IterationOptions fresh = eval;
+    fresh.rebalance_stragglers = entry.mitigation.rebalanced;
+    ExpectSameResult(entry, SimulateIteration(c.config, entry.strategy, c.topology,
+                                              entry.placement, c.global_batch, fresh));
+  }
+  EXPECT_TRUE(result.best.has_value());
+  if (result.best) {
+    IterationOptions fresh = eval;
+    fresh.keep_timeline = true;
+    fresh.rebalance_stragglers = result.best->mitigation.rebalanced;
+    ExpectSameResult(*result.best,
+                     SimulateIteration(c.config, result.best->strategy, c.topology,
+                                       result.best->placement, c.global_batch, fresh));
+    EXPECT_FALSE(result.best->sim.timeline.empty());
+  }
+  EXPECT_GT(result.schedules_built, 0);
+  return result;
+}
+
+PlannerOptions SmallGrid() {
+  PlannerOptions options;
+  options.pp_candidates = {2, 4, 8};
+  options.slice_candidates = {1, 2, 4};
+  options.vp_candidates = {1, 2};
+  return options;
+}
+
+TEST(PlannerMemo, EveryMethodMatchesFreshBuilds) {
+  // The six systems of the paper's evaluation plus the synthesizer and
+  // Hanayo; DAPPLE, VPP and Hanayo carry recompute pairs, which share a
+  // construction.
+  const auto config = model::Llama7B();
+  const auto cluster = hw::SingleTierTopology(hw::Rtx4090Cluster());
+  for (const Method method : {Method::kDapple, Method::kVpp, Method::kZb1p, Method::kZbvCapped,
+                              Method::kZbv, Method::kSvpp, Method::kHanayo}) {
+    const PlannerResult result = ExpectMemoizedSearchMatchesFreshBuilds(
+        {ToString(method), method, config, cluster, 32, SmallGrid()});
+    // At least the winner's timeline re-simulation is served.
+    EXPECT_GT(result.schedule_memo_hits, 0) << ToString(method);
+  }
+  PlannerOptions synth = SmallGrid();
+  synth.pp_candidates = {4};
+  ExpectMemoizedSearchMatchesFreshBuilds({"Synth", Method::kSynth, config, cluster, 32, synth});
+}
+
+hw::ClusterTopology MixedSpeedFleet() {
+  hw::ClusterTopology fleet;
+  fleet.tiers = {hw::Rtx4090Tier(), hw::A100Tier()};
+  fleet.SetLinkBetween(0, 1, hw::LanLink(hw::Rtx4090Cluster().inter_node));
+  return fleet;
+}
+
+int CountPlaced(const PlannerResult& result) {
+  return static_cast<int>(std::count_if(
+      result.evaluated.begin(), result.evaluated.end(), [](const IterationResult& e) {
+        return e.schedule.method.find("+placed") != std::string::npos;
+      }));
+}
+
+TEST(PlannerMemo, MixedSpeedPlacementsMatchFreshBuilds) {
+  // Placements over both tiers regenerate the program order ("+placed")
+  // under per-stage time scales, which are part of the memo key; the
+  // ZBV grid crosses tp {1, 2} at equal dp, so candidates share a
+  // pipeline problem while their cost-derived ZBV f/b/w differ.
+  const auto config = model::Llama7B();
+  PlannerOptions options;
+  options.pp_candidates = {4};
+  options.slice_candidates = {1, 4};
+  options.vp_candidates = {1};
+  options.min_dp = 4;
+  options.iteration.keep_schedule = true;
+  const PlannerResult svpp = ExpectMemoizedSearchMatchesFreshBuilds(
+      {"SVPP on a fleet", Method::kSvpp, config, MixedSpeedFleet(), 128, options});
+  EXPECT_GT(CountPlaced(svpp), 0);
+  options.slice_candidates = {1};
+  options.tp_candidates = {1, 2};
+  const PlannerResult zbv = ExpectMemoizedSearchMatchesFreshBuilds(
+      {"ZBV on a fleet", Method::kZbv, config, MixedSpeedFleet(), 128, options});
+  EXPECT_GT(CountPlaced(zbv), 0);
+}
+
+TEST(PlannerMemo, RebalancedFaultSearchMatchesFreshBuilds) {
+  // search_rebalanced re-runs each candidate with straggler mitigation,
+  // whose "+rebalanced" regeneration also goes through the memo.
+  const auto config = model::Llama13B();
+  const auto cluster = hw::SingleTierTopology(hw::Rtx4090Cluster());
+  PlannerOptions options;
+  options.pp_candidates = {8};
+  options.slice_candidates = {1, 8};
+  options.vp_candidates = {1};
+  sim::FaultPlan faults;
+  faults.stragglers.push_back({1, 0.0, 1e9, 2.0});
+  options.fault_plan = faults;
+  options.search_rebalanced = true;
+  for (const Method method : {Method::kDapple, Method::kSvpp}) {
+    const PlannerResult result = ExpectMemoizedSearchMatchesFreshBuilds(
+        {std::string(ToString(method)) + " rebalanced", method, config, cluster, 64, options});
+    EXPECT_TRUE(std::any_of(result.evaluated.begin(), result.evaluated.end(),
+                            [](const IterationResult& e) { return e.mitigation.rebalanced; }))
+        << ToString(method);
+    EXPECT_GT(result.schedule_memo_hits, 0) << ToString(method);
+  }
+}
+
+TEST(PlannerMemo, ZbvCandidatesSharingAProblemDoNotShareASchedule) {
+  // tp 1 and tp 2 at the same dp on the A100 tier: one PipelineProblem,
+  // different per-op costs, so different ZBV builder inputs.
+  const auto config = model::Llama7B();
+  const auto fleet = MixedSpeedFleet();
+  const auto placement = hw::StagePlacement::Uniform(4, 1);
+  Strategy narrow;
+  narrow.method = Method::kZbv;
+  narrow.pp = 4;
+  narrow.vp = 2;
+  narrow.dp = 4;
+  Strategy wide = narrow;
+  wide.tp = 2;
+  sched::ScheduleMemo memo;
+  const CandidateBuild a = BuildCandidate(config, narrow, fleet, placement, 64, {}, &memo);
+  const CandidateBuild b = BuildCandidate(config, wide, fleet, placement, 64, {}, &memo);
+  ASSERT_TRUE(a.feasible) << a.note;
+  ASSERT_TRUE(b.feasible) << b.note;
+  EXPECT_EQ(a.problem, b.problem);
+  EXPECT_NE(a.costs->ComputeTime({sched::OpKind::kForward, 0, 0, 0}),
+            b.costs->ComputeTime({sched::OpKind::kForward, 0, 0, 0}));
+  EXPECT_EQ(memo.builds(), 2);
+  EXPECT_EQ(memo.hits(), 0);
+  EXPECT_NE(&**a.validated, &**b.validated);
+  EXPECT_EQ((*a.validated)->stage_ops,
+            BuildCandidate(config, narrow, fleet, placement, 64).schedule.stage_ops);
+  EXPECT_EQ((*b.validated)->stage_ops,
+            BuildCandidate(config, wide, fleet, placement, 64).schedule.stage_ops);
+  EXPECT_TRUE(a.schedule.stage_ops.empty());  // a memo build carries the handle only
+  // The same candidate again is served, not rebuilt.
+  const CandidateBuild again = BuildCandidate(config, narrow, fleet, placement, 64, {}, &memo);
+  EXPECT_EQ(memo.builds(), 2);
+  EXPECT_EQ(memo.hits(), 1);
+  EXPECT_EQ(&**again.validated, &**a.validated);
 }
 
 }  // namespace

@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include <climits>
 #include <functional>
 #include <stdexcept>
 #include <string>
@@ -169,6 +170,26 @@ TEST(Schedule, MalformedOpsRejected) {
   Schedule tagged = split_static;
   TagJob(tagged, 3);
   EXPECT_NO_THROW(ValidateSchedule(tagged));
+}
+
+TEST(Schedule, StageOfChunkRejectsOutOfRangeChunks) {
+  // The lookup is inline now; its range check still throws CheckError.
+  for (const ChunkPlacement placement : {ChunkPlacement::kRoundRobin, ChunkPlacement::kVShape}) {
+    PipelineProblem problem;
+    problem.stages = 4;
+    problem.virtual_chunks = 2;
+    problem.placement = placement;
+    EXPECT_THROW(problem.stage_of_chunk(-1), CheckError);
+    EXPECT_THROW(problem.stage_of_chunk(problem.num_chunks()), CheckError);
+    EXPECT_THROW(problem.stage_of_chunk(INT_MAX), CheckError);
+    EXPECT_THROW(problem.stage_of_chunk(INT_MIN), CheckError);
+    const std::vector<int> expected = placement == ChunkPlacement::kRoundRobin
+                                          ? std::vector<int>{0, 1, 2, 3, 0, 1, 2, 3}
+                                          : std::vector<int>{0, 1, 2, 3, 3, 2, 1, 0};
+    for (int chunk = 0; chunk < problem.num_chunks(); ++chunk) {
+      EXPECT_EQ(problem.stage_of_chunk(chunk), expected[static_cast<std::size_t>(chunk)]);
+    }
+  }
 }
 
 TEST(Schedule, FirstBackwardIndex) {
