@@ -7,9 +7,16 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
+#include <cstdlib>
+#include <cstring>
+#include <fstream>
+#include <sstream>
+#include <string>
 #include <vector>
 
 #include "common/check.h"
+#include "common/format.h"
 #include "hw/cluster.h"
 #include "model/transformer.h"
 #include "trace/chrome_trace.h"
@@ -454,6 +461,200 @@ TEST(Elastic, SurrogateTriageSearchesPartitioningsPerShape) {
     EXPECT_EQ(repeat.shapes[i].strategy.spp, triaged.shapes[i].strategy.spp);
     EXPECT_EQ(repeat.shapes[i].iteration_time, triaged.shapes[i].iteration_time);
   }
+}
+
+
+// ---- Golden runs ----------------------------------------------------------
+//
+// Every ElasticMetrics field of a grid of analytic runs, doubles as hex
+// bits, pinned in tests/golden/elastic_runs.txt (see the README there).
+// The grid crosses the three policies with no straggler and with fixed-
+// and random-stage stragglers at noise sigma {0, 0.02, 0.3}, each at a
+// transient and a persistent duration, over dp {1, 2, 8}, with and
+// without the engine-grounded overrides (per-shape iteration time,
+// credit, reshard stall and feasibility, canonical plan-state times and
+// per-stage busy vectors).
+
+std::string Hex(double value) {
+  std::uint64_t bits = 0;
+  std::memcpy(&bits, &value, sizeof(bits));
+  return StrFormat("%016llx", static_cast<unsigned long long>(bits));
+}
+
+// FNV-1a over every event's kind, stage, span bits and label.
+std::uint64_t HashEvents(const std::vector<sim::FaultSpan>& events) {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  const auto mix = [&h](const void* data, std::size_t size) {
+    const auto* bytes = static_cast<const unsigned char*>(data);
+    for (std::size_t i = 0; i < size; ++i) {
+      h = (h ^ bytes[i]) * 0x100000001b3ULL;
+    }
+  };
+  for (const sim::FaultSpan& e : events) {
+    const int kind = static_cast<int>(e.kind);
+    mix(&kind, sizeof(kind));
+    mix(&e.stage, sizeof(e.stage));
+    mix(&e.begin, sizeof(e.begin));
+    mix(&e.end, sizeof(e.end));
+    mix(e.label.data(), e.label.size());
+    mix("\n", 1);
+  }
+  return h;
+}
+
+std::string GoldenLine(const std::string& name, const ElasticMetrics& m) {
+  std::ostringstream out;
+  out << name << " iteration_time=" << Hex(m.iteration_time) << " wall=" << Hex(m.wall_time)
+      << " useful=" << Hex(m.useful_time) << " lost=" << Hex(m.lost_time)
+      << " checkpoint=" << Hex(m.checkpoint_time) << " recovery=" << Hex(m.recovery_time)
+      << " repair_wait=" << Hex(m.repair_wait_time) << " reshard=" << Hex(m.reshard_time)
+      << " replan=" << Hex(m.replan_time) << " degraded=" << Hex(m.degraded_time)
+      << " degraded_fraction=" << Hex(m.degraded_fraction) << " goodput=" << Hex(m.goodput)
+      << " overhead=" << Hex(m.overhead_fraction) << " iterations=" << m.iterations_completed
+      << " failures=" << m.failures << " reshards=" << m.reshards
+      << " expansions=" << m.expansions << " replans=" << m.replans
+      << " onsets=" << m.straggler_onsets << " written=" << m.checkpoints_written
+      << " aborted=" << m.checkpoints_aborted << " intervals=";
+  for (std::size_t i = 0; i < m.checkpoint_interval_by_survivors.size(); ++i) {
+    out << (i > 0 ? "," : "") << Hex(m.checkpoint_interval_by_survivors[i]);
+  }
+  out << " events=" << m.events.size()
+      << StrFormat(" events_hash=%016llx", static_cast<unsigned long long>(HashEvents(m.events)))
+      << '\n';
+  return out.str();
+}
+
+// Synthetic engine-grounded overrides for a dp-wide, 6-stage job whose
+// clean iteration takes `t`: sub-linear degraded times with one shape
+// left at the analytic default, ceil-style credit, per-shape reshard
+// stalls, an infeasible shape two below the full fleet, and canonical
+// plan states whose straggled busy vector dilates stage 2.
+void FillOverrides(ElasticOptions& opt, Seconds t) {
+  const int dp = opt.run.dp_replicas;
+  for (int s = 1; s <= dp; ++s) {
+    opt.iteration_time_by_survivors.push_back(s == 2 ? 0.0 : t * dp / s * 1.04);
+    opt.useful_fraction_by_survivors.push_back(1.0 + 0.01 * (dp - s));
+    opt.reshard_stall_by_survivors.push_back(10.0 + s);
+    opt.shape_feasible.push_back(dp > 2 && s == dp - 2 ? 0 : 1);
+  }
+  opt.straggled_iteration_time = t * 1.6;
+  opt.mitigated_iteration_time = t * 1.2;
+  opt.mitigated_clean_iteration_time = t * 1.05;
+  opt.clean_stage_busy = {3.2, 3.4, 3.1, 3.3, 3.2, 3.0};
+  opt.straggled_stage_busy = {3.2, 3.4, 6.2, 3.3, 3.2, 3.0};
+  opt.mitigated_stage_busy = {3.6, 3.7, 3.9, 3.6, 3.5, 3.4};
+  opt.mitigated_clean_stage_busy = {3.6, 3.7, 2.4, 3.6, 3.5, 3.4};
+}
+
+struct GoldenCell {
+  std::string name;
+  ElasticOptions options;
+};
+
+constexpr Seconds kGoldenIteration = 20.0;
+
+std::vector<GoldenCell> GoldenCells() {
+  struct Straggle {
+    const char* name;
+    int stage;  // -2 = no straggler
+    double sigma;
+  };
+  const Straggle straggles[] = {{"none", -2, 0.0},    {"fixed", 2, 0.0},
+                                {"fixed", 2, 0.02},   {"fixed", 2, 0.3},
+                                {"random", -1, 0.0},  {"random", -1, 0.02},
+                                {"random", -1, 0.3}};
+  std::vector<GoldenCell> cells;
+  for (const int dp : {1, 2, 8}) {
+    for (const bool overrides : {false, true}) {
+      for (const Straggle& straggle : straggles) {
+        for (const Seconds duration : {30.0, 2000.0}) {
+          if (straggle.stage == -2 && duration > 30.0) {
+            continue;  // the duration means nothing without a straggler
+          }
+          for (const ElasticPolicy policy :
+               {ElasticPolicy::kFrozen, ElasticPolicy::kRestart, ElasticPolicy::kElastic}) {
+            GoldenCell cell;
+            ElasticOptions& opt = cell.options;
+            opt.policy = policy;
+            opt.run.gpus = 1024;
+            opt.run.dp_replicas = dp;
+            opt.run.seed = 1000 + cells.size();
+            opt.run.reliability.mtbf_per_1000_gpus = 6.0 * 3600.0;
+            opt.run.reliability.recovery_time = 120.0;
+            opt.run.reliability.checkpoint_write_cost = 20.0;
+            opt.run.reliability.checkpoint_interval = 600.0;
+            const Seconds mtbf = opt.run.reliability.mtbf_per_1000_gpus * 1000.0 / 1024;
+            opt.run.target_useful_time = 6.0 * mtbf;
+            opt.repair_time = 3600.0;
+            opt.reshard_stall = 20.0;
+            opt.replan_stall = 30.0;
+            opt.pipeline_stages = 6;
+            opt.units_per_stage = 4;
+            // The solver runs once per visited shape; keep it to the
+            // override cells and trim its effort.
+            opt.resolve_checkpoint_interval = overrides;
+            opt.interval_solve_mtbfs = 10.0;
+            opt.interval_solver = {0, 0, /*coarse_points=*/5, /*golden_iterations=*/4};
+            if (straggle.stage != -2) {
+              opt.straggler.mtbf = 3000.0;
+              opt.straggler.slowdown = 2.0;
+              opt.straggler.duration = duration;
+              opt.straggler.stage = straggle.stage;
+              opt.straggler.busy_noise_sigma = straggle.sigma;
+            }
+            if (overrides) {
+              FillOverrides(opt, kGoldenIteration);
+            }
+            cell.name = StrFormat("dp%d/%s/%s/%s/sigma%.2f/duration%.0f", dp,
+                                  overrides ? "overrides" : "analytic", ToString(policy),
+                                  straggle.name, straggle.sigma, duration);
+            cells.push_back(std::move(cell));
+          }
+        }
+      }
+    }
+  }
+  return cells;
+}
+
+std::string GoldenRuns() {
+  std::string text;
+  for (const GoldenCell& cell : GoldenCells()) {
+    text += GoldenLine(cell.name, SimulateElasticRun(kGoldenIteration, cell.options));
+  }
+  return text;
+}
+
+std::string ReadFileOrEmpty(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  std::ostringstream text;
+  text << in.rdbuf();
+  return text.str();
+}
+
+TEST(ElasticGolden, RunsAreBitStable) {
+  const std::string path = std::string(MEPIPE_TESTS_DIR) + "/golden/elastic_runs.txt";
+  const std::string runs = GoldenRuns();
+  if (std::getenv("MEPIPE_REGEN_GOLDEN") != nullptr) {
+    std::ofstream out(path, std::ios::binary);
+    MEPIPE_CHECK(out.good()) << "cannot write " << path;
+    out << runs;
+    GTEST_SKIP() << "regenerated " << path;
+  }
+  const std::string golden = ReadFileOrEmpty(path);
+  ASSERT_FALSE(golden.empty()) << "missing " << path;
+  // Report the first differing cell rather than two 200-line blobs.
+  std::istringstream want(golden);
+  std::istringstream got(runs);
+  std::string want_line;
+  std::string got_line;
+  int line = 0;
+  while (std::getline(want, want_line)) {
+    ++line;
+    ASSERT_TRUE(std::getline(got, got_line)) << "run output ends before golden line " << line;
+    ASSERT_EQ(got_line, want_line) << "golden line " << line;
+  }
+  EXPECT_FALSE(std::getline(got, got_line)) << "run output has more lines than the golden";
 }
 
 }  // namespace
