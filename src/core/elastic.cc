@@ -36,6 +36,75 @@ void NormalizeByMedian(std::vector<double>& values) {
   }
 }
 
+// A steady span of the elastic loop (see SimulateElasticRun): the run
+// state it advances, and the per-iteration updates and event instants
+// that stay fixed until the span ends.
+struct SteadySpan {
+  Seconds next_fail;
+  Seconds wall;
+  Seconds degraded_time;
+  Seconds useful;
+  Seconds since_ckpt;
+  std::int64_t iterations;
+  Seconds tau;
+  Seconds credit;
+  Seconds exposure;
+  Seconds target;
+  Seconds interval;    // checkpoint interval of the fleet shape
+  Seconds repair_due;  // earliest outstanding repair
+  Seconds flip;        // next straggler onset or clear
+  bool degraded;
+};
+
+enum class SpanEnd { kEventfulIteration, kReplan, kLoopTop };
+
+// Runs iterations while the next one is quiet. The state lives in
+// locals here so the loop keeps it in registers; kDetecting feeds each
+// iteration to the detector, which may end the span with a re-plan.
+template <bool kDetecting>
+SpanEnd RunSteadySpan(SteadySpan& span, SlowdownWindowEstimator* estimator,
+                      const std::vector<Seconds>* observed, double sigma, SplitMixRng* noise) {
+  Seconds next_fail = span.next_fail;
+  Seconds wall = span.wall;
+  Seconds degraded_time = span.degraded_time;
+  Seconds useful = span.useful;
+  Seconds since_ckpt = span.since_ckpt;
+  std::int64_t iterations = span.iterations;
+  SpanEnd end = SpanEnd::kEventfulIteration;
+  while (next_fail > span.exposure) {
+    const Seconds useful_next = useful + span.credit;
+    const Seconds since_next = since_ckpt + span.tau;
+    if (!(useful_next + 1e-9 < span.target) || since_next >= span.interval) {
+      break;  // the target or a checkpoint: the general path takes it
+    }
+    next_fail -= span.exposure;
+    wall += span.tau;
+    if (span.degraded) {
+      degraded_time += span.tau;
+    }
+    useful = useful_next;
+    since_ckpt = since_next;
+    ++iterations;
+    if constexpr (kDetecting) {
+      if (estimator->Observe(*observed, sigma, *noise) && estimator->PersistentDeviation()) {
+        end = SpanEnd::kReplan;
+        break;
+      }
+    }
+    if (wall >= span.repair_due || wall >= span.flip) {
+      end = SpanEnd::kLoopTop;
+      break;
+    }
+  }
+  span.next_fail = next_fail;
+  span.wall = wall;
+  span.degraded_time = degraded_time;
+  span.useful = useful;
+  span.since_ckpt = since_ckpt;
+  span.iterations = iterations;
+  return end;
+}
+
 }  // namespace
 
 const char* ToString(ElasticPolicy policy) {
@@ -145,6 +214,7 @@ ElasticMetrics SimulateElasticRun(Seconds iteration_time, const ElasticOptions& 
   std::vector<double> assumed(static_cast<std::size_t>(stages), 1.0);
   std::vector<int> units(static_cast<std::size_t>(stages), units0);
   const std::vector<int> even_units = units;
+  bool even_plan = true;  // units == even_units; replan() keeps it current
 
   const double failure_budget = 1000.0 * (target / mtbf + 10.0);
 
@@ -262,9 +332,8 @@ ElasticMetrics SimulateElasticRun(Seconds iteration_time, const ElasticOptions& 
   // the clean even plan: engine-measured canonical states when the
   // pricing overrides are set, the analytic unit bottleneck otherwise.
   const auto plan_factor = [&]() -> double {
-    const bool even = units == even_units;
     Seconds canonical = 0;
-    if (even) {
+    if (even_plan) {
       canonical = straggler_active ? opt.straggled_iteration_time : iteration_time;
     } else {
       canonical = straggler_active ? opt.mitigated_iteration_time
@@ -280,11 +349,11 @@ ElasticMetrics SimulateElasticRun(Seconds iteration_time, const ElasticOptions& 
     return bottleneck / static_cast<double>(units0);
   };
 
-  // Per-stage busy synthesis for the detector. `dilation` is hw (what
-  // actually ran) for observations and `assumed` (what the plan
-  // expected) for the estimator baseline.
-  const auto synth_busy = [&](const std::vector<double>& dilation) {
-    std::vector<Seconds> busy(static_cast<std::size_t>(stages));
+  // Per-stage busy synthesis for the detector into `busy`. `dilation`
+  // is hw (what actually ran) for observations and `assumed` (what the
+  // plan expected) for the estimator baseline.
+  const auto synth_busy = [&](const std::vector<double>& dilation, std::vector<Seconds>& busy) {
+    busy.resize(static_cast<std::size_t>(stages));
     for (std::size_t i = 0; i < busy.size(); ++i) {
       const Seconds base = opt.clean_stage_busy.empty()
                                ? iteration_time / static_cast<double>(stages)
@@ -292,31 +361,36 @@ ElasticMetrics SimulateElasticRun(Seconds iteration_time, const ElasticOptions& 
       busy[i] = base * (static_cast<double>(units[i]) / static_cast<double>(units0)) *
                 dilation[i];
     }
-    return busy;
   };
   const auto canonical_busy = [&](bool expected) -> const std::vector<Seconds>* {
-    const bool even = units == even_units;
     // The estimator baseline expects what the plan assumed: the even
     // plan assumed no straggler, the mitigated plan assumed one.
-    const bool strag = expected ? !even : straggler_active;
+    const bool strag = expected ? !even_plan : straggler_active;
     const std::vector<Seconds>& canon =
-        even ? (strag ? opt.straggled_stage_busy : opt.clean_stage_busy)
-             : (strag ? opt.mitigated_stage_busy : opt.mitigated_clean_stage_busy);
+        even_plan ? (strag ? opt.straggled_stage_busy : opt.clean_stage_busy)
+                  : (strag ? opt.mitigated_stage_busy : opt.mitigated_clean_stage_busy);
     return canon.empty() ? nullptr : &canon;
   };
   const auto expected_busy = [&]() {
     const std::vector<Seconds>* canon = canonical_busy(/*expected=*/true);
-    return canon ? *canon : synth_busy(assumed);
-  };
-  const auto observed_busy = [&]() {
-    const std::vector<Seconds>* canon = canonical_busy(/*expected=*/false);
-    std::vector<Seconds> busy = canon ? *canon : synth_busy(hw);
-    if (opt.straggler.busy_noise_sigma > 0) {
-      for (Seconds& b : busy) {
-        b *= std::exp(opt.straggler.busy_noise_sigma * rng_noise.NextGaussian());
-      }
+    std::vector<Seconds> busy;
+    if (canon) {
+      busy = *canon;
+    } else {
+      synth_busy(assumed, busy);
     }
     return busy;
+  };
+  // Noise-free busy times the detector observes under the hardware and
+  // plan of the moment; the estimator applies the observation noise.
+  std::vector<Seconds> synth_observed;
+  const auto observed_clean = [&]() -> const std::vector<Seconds>& {
+    const std::vector<Seconds>* canon = canonical_busy(/*expected=*/false);
+    if (canon) {
+      return *canon;
+    }
+    synth_busy(hw, synth_observed);
+    return synth_observed;
   };
 
   const bool detecting = opt.policy == ElasticPolicy::kElastic && opt.straggler.mtbf > 0;
@@ -480,6 +554,7 @@ ElasticMetrics SimulateElasticRun(Seconds iteration_time, const ElasticOptions& 
     }
     NormalizeByMedian(assumed);
     units = PartitionUnitsBySpeed(units0 * stages, assumed, 1);
+    even_plan = units == even_units;
     const Seconds begin = wall;
     advance_through(opt.replan_stall, survivors);
     m.replan_time += opt.replan_stall;
@@ -492,12 +567,62 @@ ElasticMetrics SimulateElasticRun(Seconds iteration_time, const ElasticOptions& 
   };
 
   // ---- the control loop ---------------------------------------------------
+  constexpr Seconds kNever = std::numeric_limits<Seconds>::infinity();
+  const double sigma = opt.straggler.busy_noise_sigma;
   while (useful + 1e-9 < target) {
     process_repairs();
     update_straggler();
     const int s = survivors;
     const Seconds tau = shape_time(s) * plan_factor();
     const Seconds credit = useful_credit(s);
+    const std::vector<Seconds>* observed = detecting ? &observed_clean() : nullptr;
+
+    // Steady span. Until the next event (a failure, a due repair, a
+    // straggler onset or clear, a checkpoint, a re-plan or the target)
+    // every iteration makes the same updates with the same tau, credit
+    // and exposure, so run those alone. Each is the general path's op in
+    // its order, so the span is bit-identical to iterating it; the span
+    // hands over to the general path below (same pass: the iteration
+    // ahead is the eventful one) or to the loop top (a re-plan, repair
+    // or straggler flip is due before the next iteration).
+    const double frac = static_cast<double>(s) / static_cast<double>(dp);
+    const Seconds exposure = tau * frac;
+    // interval_for() runs only where the general path calls it: after a
+    // completed iteration that leaves progress short of the target.
+    if (frac > 0.0 && tau > 0.0 && next_fail > exposure && useful + credit + 1e-9 < target) {
+      SteadySpan span{next_fail,
+                      wall,
+                      m.degraded_time,
+                      useful,
+                      since_ckpt,
+                      m.iterations_completed,
+                      tau,
+                      credit,
+                      exposure,
+                      target,
+                      interval_for(s),
+                      repairs.empty() ? kNever : repairs.front(),
+                      opt.straggler.mtbf <= 0 ? kNever
+                      : straggler_active      ? straggler_until
+                                              : next_onset,
+                      survivors < dp};
+      const SpanEnd end =
+          detecting ? RunSteadySpan<true>(span, &estimator, observed, sigma, &rng_noise)
+                    : RunSteadySpan<false>(span, nullptr, nullptr, sigma, nullptr);
+      next_fail = span.next_fail;
+      wall = span.wall;
+      m.degraded_time = span.degraded_time;
+      useful = span.useful;
+      since_ckpt = span.since_ckpt;
+      m.iterations_completed = span.iterations;
+      if (end == SpanEnd::kReplan) {
+        replan();
+        continue;
+      }
+      if (end == SpanEnd::kLoopTop) {
+        continue;
+      }
+    }
 
     const Advance r = advance(tau, s);
     if (r.failed) {
@@ -510,7 +635,8 @@ ElasticMetrics SimulateElasticRun(Seconds iteration_time, const ElasticOptions& 
     since_ckpt += tau;
     ++m.iterations_completed;
 
-    if (detecting && estimator.Observe(observed_busy()) && estimator.PersistentDeviation()) {
+    if (detecting && estimator.Observe(*observed, sigma, rng_noise) &&
+        estimator.PersistentDeviation()) {
       replan();
     }
 
