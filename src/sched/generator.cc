@@ -1,6 +1,7 @@
 #include "sched/generator.h"
 
 #include <algorithm>
+#include <cmath>
 #include <limits>
 
 #include "common/check.h"
@@ -250,6 +251,10 @@ const char* GeneratorIssueCodeName(GeneratorIssue::Code code) {
       return "non-positive-duration";
     case GeneratorIssue::Code::kNegativeTransfer:
       return "negative-transfer";
+    case GeneratorIssue::Code::kNonFiniteTransfer:
+      return "non-finite-transfer";
+    case GeneratorIssue::Code::kNanLookahead:
+      return "nan-lookahead";
   }
   return "?";
 }
@@ -296,9 +301,15 @@ std::vector<GeneratorIssue> GeneratorOptions::Validate(int stages) const {
     add(GeneratorIssue::Code::kNonPositiveDuration, -1,
         "w_time = " + std::to_string(w_time));
   }
-  if (transfer_time < 0.0) {
+  if (!std::isfinite(transfer_time)) {
+    add(GeneratorIssue::Code::kNonFiniteTransfer, -1,
+        "transfer_time = " + std::to_string(transfer_time));
+  } else if (transfer_time < 0.0) {
     add(GeneratorIssue::Code::kNegativeTransfer, -1,
         "transfer_time = " + std::to_string(transfer_time));
+  }
+  if (std::isnan(lookahead)) {
+    add(GeneratorIssue::Code::kNanLookahead, -1, "lookahead = " + std::to_string(lookahead));
   }
   return issues;
 }

@@ -32,6 +32,8 @@ struct GeneratorIssue {
     kNegativeInflightCap,   // an inflight_cap entry < 0
     kNonPositiveDuration,   // an abstract f/b/w duration <= 0
     kNegativeTransfer,      // transfer_time < 0
+    kNonFiniteTransfer,     // transfer_time NaN or infinite
+    kNanLookahead,          // lookahead NaN (negative selects the default)
   };
   Code code;
   int stage = -1;  // offending entry index, when applicable

@@ -701,6 +701,46 @@ TEST(GeneratorValidate, ReportsBadEntriesAndDurations) {
   }
 }
 
+TEST(GeneratorValidate, ReportsNonFiniteTransferAndNanLookahead) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  for (const double transfer : {nan, inf, -inf}) {
+    GeneratorOptions options;
+    options.transfer_time = transfer;
+    const std::vector<GeneratorIssue> issues = options.Validate(4);
+    ASSERT_EQ(issues.size(), 1u) << transfer;
+    EXPECT_EQ(issues[0].code, GeneratorIssue::Code::kNonFiniteTransfer) << transfer;
+    EXPECT_STREQ(GeneratorIssueCodeName(issues[0].code), "non-finite-transfer");
+  }
+  GeneratorOptions options;
+  options.lookahead = nan;
+  std::vector<GeneratorIssue> issues = options.Validate(4);
+  ASSERT_EQ(issues.size(), 1u);
+  EXPECT_EQ(issues[0].code, GeneratorIssue::Code::kNanLookahead);
+  EXPECT_STREQ(GeneratorIssueCodeName(issues[0].code), "nan-lookahead");
+  // Both at once are two issues; a negative lookahead still selects the
+  // default and an infinite one is a well-defined (if wide) window.
+  options.transfer_time = nan;
+  EXPECT_EQ(options.Validate(4).size(), 2u);
+  options.transfer_time = 0.05;
+  for (const double lookahead : {-1.0, 0.0, inf}) {
+    options.lookahead = lookahead;
+    EXPECT_TRUE(options.Validate(4).empty()) << lookahead;
+  }
+
+  // GenerateCapped refuses them instead of scheduling on NaN ready times.
+  const PipelineProblem problem = MakeProblem(4, 1, 2, 8);
+  GeneratorOptions nan_transfer;
+  nan_transfer.transfer_time = nan;
+  EXPECT_THROW(GenerateCapped(problem, nan_transfer, "nan-transfer"), CheckError);
+  GeneratorOptions inf_transfer;
+  inf_transfer.transfer_time = inf;
+  EXPECT_THROW(GenerateCapped(problem, inf_transfer, "inf-transfer"), CheckError);
+  GeneratorOptions nan_lookahead;
+  nan_lookahead.lookahead = nan;
+  EXPECT_THROW(GenerateCapped(problem, nan_lookahead, "nan-lookahead"), CheckError);
+}
+
 TEST(GeneratorValidate, GenerateCappedThrowsOnLongVectors) {
   // The short-vector case is covered by StageTimeScaleValidatesAndSchedules;
   // the long-vector case is the half the old entry check missed.
