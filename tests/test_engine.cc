@@ -4,15 +4,24 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <cstdlib>
+#include <cstring>
+#include <fstream>
+#include <sstream>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "common/check.h"
+#include "common/format.h"
 #include "core/svpp.h"
 #include "sched/baselines.h"
 #include "sched/generator.h"
 #include "sched/synth.h"
+#include "sched/zbv.h"
 #include "sim/cost_model.h"
+#include "sim/noise.h"
 
 namespace mepipe::sim {
 namespace {
@@ -340,6 +349,193 @@ TEST(Engine, UnrecordedTimelineMatchesRecordedRunBitForBit) {
       }
     }
   }
+}
+
+// ---- Golden runs ----------------------------------------------------------
+//
+// Every SimResult scalar and StageMetrics field, doubles as hex bits, the
+// DP sync stats, and FNV-1a hashes of the span timeline, the memory
+// series and the fault spans, for a grid of runs pinned in
+// tests/golden/engine_runs.txt (see the README there). The grid crosses
+// seven schedule families with the three W modes, no budget and a tight
+// budget with unbudgeted (0) stages, a clean run and a plan with every
+// fault kind, DP overlap off / on / on a shared fabric, and the memory
+// series off / on. Costs are seeded lognormal noise over uniform costs
+// with non-zero transfers and priced DP buckets.
+
+std::string Hex(double value) {
+  std::uint64_t bits = 0;
+  std::memcpy(&bits, &value, sizeof(bits));
+  return StrFormat("%016llx", static_cast<unsigned long long>(bits));
+}
+
+class Fnv1a {
+ public:
+  template <typename T>
+  void Mix(const T& value) {
+    MixBytes(&value, sizeof(value));
+  }
+  void MixBytes(const void* data, std::size_t size) {
+    const auto* bytes = static_cast<const unsigned char*>(data);
+    for (std::size_t i = 0; i < size; ++i) {
+      h_ = (h_ ^ bytes[i]) * 0x100000001b3ULL;
+    }
+  }
+  std::string Hex() const { return StrFormat("%016llx", static_cast<unsigned long long>(h_)); }
+
+ private:
+  std::uint64_t h_ = 0xcbf29ce484222325ULL;
+};
+
+std::string TimelineHash(const std::vector<OpSpan>& timeline) {
+  Fnv1a h;
+  for (const OpSpan& span : timeline) {
+    h.Mix(span.stage);
+    h.Mix(static_cast<int>(span.op.kind));
+    h.Mix(span.op.micro);
+    h.Mix(span.op.slice);
+    h.Mix(span.op.chunk);
+    h.Mix(span.op.gemm);
+    h.Mix(span.op.job);
+    h.Mix(span.start);
+    h.Mix(span.end);
+    h.Mix(static_cast<int>(span.is_transfer));
+  }
+  return h.Hex();
+}
+
+std::string MemoryHash(const std::vector<std::vector<MemoryPoint>>& series) {
+  Fnv1a h;
+  for (const auto& stage : series) {
+    h.Mix(stage.size());
+    for (const MemoryPoint& point : stage) {
+      h.Mix(point.time);
+      h.Mix(point.bytes);
+    }
+  }
+  return h.Hex();
+}
+
+std::string FaultSpanHash(const std::vector<FaultSpan>& spans) {
+  Fnv1a h;
+  for (const FaultSpan& span : spans) {
+    h.Mix(static_cast<int>(span.kind));
+    h.Mix(span.stage);
+    h.Mix(span.from);
+    h.Mix(span.to);
+    h.Mix(span.begin);
+    h.Mix(span.end);
+    h.MixBytes(span.label.data(), span.label.size());
+    h.MixBytes("\n", 1);
+  }
+  return h.Hex();
+}
+
+std::string EngineGoldenLine(const std::string& name, const SimResult& r) {
+  std::ostringstream out;
+  out << name << " makespan=" << Hex(r.makespan) << " bubble=" << Hex(r.bubble_ratio)
+      << " peak=" << r.peak_activation << " violations=" << r.budget_violations
+      << " dp=" << Hex(r.dp.serialized) << "," << Hex(r.dp.hidden) << "," << Hex(r.dp.exposed)
+      << "," << Hex(r.dp.last_end) << "," << r.dp.buckets << " stages=";
+  for (std::size_t i = 0; i < r.stages.size(); ++i) {
+    const StageMetrics& m = r.stages[i];
+    out << (i > 0 ? ";" : "") << Hex(m.busy) << "," << m.peak_activation << ","
+        << Hex(m.bubble_ratio) << "," << Hex(m.warmup_idle) << "," << Hex(m.steady_idle) << ","
+        << Hex(m.drain_idle) << "," << m.budget_violations << "," << m.budget_overflow_bytes
+        << "," << Hex(m.dp_sync);
+  }
+  out << " timeline=" << r.timeline.size() << ":" << TimelineHash(r.timeline)
+      << " memory=" << r.memory_timeline.size() << ":" << MemoryHash(r.memory_timeline)
+      << " faults=" << r.fault_spans.size() << ":" << FaultSpanHash(r.fault_spans) << '\n';
+  return out.str();
+}
+
+std::string EngineGoldenRuns() {
+  const int p = 4;
+  const std::vector<std::pair<std::string, sched::Schedule>> schedules = {
+      {"gpipe", sched::GPipeSchedule(p, 6)},
+      {"1f1b", sched::OneFOneBSchedule(p, 8)},
+      {"vpp", sched::VppSchedule(p, 2, 8)},
+      {"terapipe", sched::TeraPipeSchedule(p, 4, 4)},
+      {"zb1p", sched::Zb1pSchedule(p, 8)},
+      {"zbv", sched::HandcraftedZbvSchedule(p, 8)},
+      {"svpp", core::GenerateSvpp({.stages = p, .virtual_chunks = 2, .slices = 2, .micros = 8})},
+  };
+  // 3 GEMMs per W, 10-byte activations, 4-byte act-grads, 1.5 s buckets.
+  const UniformCostModel uniform(1.0, 2.0, 0.7, /*transfer=*/0.15, 10, 4, 3, 1.5);
+  const NoisyCostModel costs(uniform, 0.2, 7);
+  FaultPlan faults;
+  faults.stragglers.push_back({1, 2.0, 10.0, 1.7});
+  faults.link_degrades.push_back({0, 1, 0.0, 20.0, 2.0});
+  faults.transfer_retries.push_back({2, 3, 5.0, 15.0, 2, 0.1});
+  faults.fail_stops.push_back({3, 12.0, 1.0, 2.0});
+  faults.checkpoints = {6.0};
+  const std::vector<Bytes> tight_budget = {35, 0, 25, 0};
+
+  const char* const modes[] = {"immediate", "whole", "gemms"};
+  std::string text;
+  for (const auto& [name, schedule] : schedules) {
+    for (const WgradMode mode :
+         {WgradMode::kImmediate, WgradMode::kFillWhole, WgradMode::kFillGemms}) {
+      for (const bool budgeted : {false, true}) {
+        for (const bool faulted : {false, true}) {
+          for (const int dp : {0, 1, 2}) {
+            for (const bool memory : {false, true}) {
+              EngineOptions options;
+              options.wgrad_mode = mode;
+              if (budgeted) {
+                options.activation_budget = tight_budget;
+              }
+              if (faulted) {
+                options.fault_plan = faults;
+              }
+              options.dp_overlap = dp > 0;
+              options.dp_link_shared = dp > 1;
+              options.record_memory_timeline = memory;
+              const std::string cell =
+                  StrFormat("%s/%s/%s/%s/dp%d/%s", name.c_str(),
+                            modes[static_cast<int>(mode)], budgeted ? "budget" : "unbudgeted",
+                            faulted ? "faults" : "clean", dp, memory ? "memory" : "nomemory");
+              text += EngineGoldenLine(cell, Simulate(schedule, costs, options));
+            }
+          }
+        }
+      }
+    }
+  }
+  return text;
+}
+
+std::string ReadFileOrEmpty(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  std::ostringstream text;
+  text << in.rdbuf();
+  return text.str();
+}
+
+TEST(EngineGolden, RunsAreBitStable) {
+  const std::string path = std::string(MEPIPE_TESTS_DIR) + "/golden/engine_runs.txt";
+  const std::string runs = EngineGoldenRuns();
+  if (std::getenv("MEPIPE_REGEN_GOLDEN") != nullptr) {
+    std::ofstream out(path, std::ios::binary);
+    MEPIPE_CHECK(out.good()) << "cannot write " << path;
+    out << runs;
+    GTEST_SKIP() << "regenerated " << path;
+  }
+  const std::string golden = ReadFileOrEmpty(path);
+  ASSERT_FALSE(golden.empty()) << "missing " << path;
+  // Report the first differing cell rather than two 500-line blobs.
+  std::istringstream want(golden);
+  std::istringstream got(runs);
+  std::string want_line;
+  std::string got_line;
+  int line = 0;
+  while (std::getline(want, want_line)) {
+    ++line;
+    ASSERT_TRUE(std::getline(got, got_line)) << "run output ends before golden line " << line;
+    ASSERT_EQ(got_line, want_line) << "golden line " << line;
+  }
+  EXPECT_FALSE(std::getline(got, got_line)) << "run output has more lines than the golden";
 }
 
 }  // namespace
