@@ -393,9 +393,7 @@ void WrapPlacement(sim::CostModelStack& stack, const CandidateBuild& build,
 
 StageMemoryVerdict CheckStageMemory(const CandidateBuild& build,
                                     const hw::ClusterTopology& topology,
-                                    const RebalancePlan& plan,
-                                    const std::vector<Bytes>& stage_peak_activation,
-                                    Bytes peak_activation) {
+                                    const RebalancePlan& plan, const sim::SimResult& run) {
   const TrainingCostModel& costs = *build.costs;
   const sched::PipelineProblem& problem = build.problem;
   // The capped ZBV generator's accounting releases a forward's
@@ -410,7 +408,7 @@ StageMemoryVerdict CheckStageMemory(const CandidateBuild& build,
              costs.PerForwardActivationBytes();
   }
   StageMemoryVerdict verdict;
-  verdict.peak_activation = std::max(peak_activation, honest);
+  verdict.peak_activation = std::max(run.peak_activation, honest);
   int oom_stage = -1;
   Bytes oom_total = 0;
   for (int stage = 0; stage < problem.stages; ++stage) {
@@ -418,7 +416,7 @@ StageMemoryVerdict CheckStageMemory(const CandidateBuild& build,
     verdict.static_memory = std::max(verdict.static_memory, stage_static);
     const Bytes total =
         stage_static +
-        std::max(stage_peak_activation[static_cast<std::size_t>(stage)], honest);
+        std::max(run.stages[static_cast<std::size_t>(stage)].peak_activation, honest);
     verdict.peak_memory = std::max(verdict.peak_memory, total);
     if (oom_stage < 0 &&
         total > topology.tier(build.placement.tier_of(stage)).gpu.usable_memory()) {
@@ -544,13 +542,7 @@ IterationResult SimulateIteration(const model::TransformerConfig& config,
   result.checkpoint_shard = costs.CheckpointShardBytes();
   result.checkpoint_state = costs.CheckpointStateBytes();
 
-  std::vector<Bytes> stage_peaks(static_cast<std::size_t>(problem.stages));
-  for (int stage = 0; stage < problem.stages; ++stage) {
-    stage_peaks[static_cast<std::size_t>(stage)] =
-        sim.stages[static_cast<std::size_t>(stage)].peak_activation;
-  }
-  StageMemoryVerdict memory =
-      CheckStageMemory(build, topology, *layer_split, stage_peaks, sim.peak_activation);
+  StageMemoryVerdict memory = CheckStageMemory(build, topology, *layer_split, sim);
   result.static_memory = memory.static_memory;
   result.peak_activation = memory.peak_activation;
   result.peak_memory = memory.peak_memory;

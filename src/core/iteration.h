@@ -203,9 +203,9 @@ CandidateBuild BuildCandidate(const model::TransformerConfig& config,
 void WrapPlacement(sim::CostModelStack& stack, const CandidateBuild& build,
                    const hw::ClusterTopology& topology);
 
-// Per-stage memory verdict of an executed (or table-priced) candidate:
-// each stage's static memory scaled by its layer share under `plan`,
-// plus its activation peak, against the hosting tier's usable memory.
+// Per-stage memory verdict of a simulated or table-priced `run`: each
+// stage's static memory scaled by its layer share under `plan`, plus its
+// activation peak in `run`, against the hosting tier's usable memory.
 // kZbvCapped is floored at its 1F1B-parity retained-forward bound.
 struct StageMemoryVerdict {
   Bytes static_memory = 0;    // worst stage
@@ -216,9 +216,7 @@ struct StageMemoryVerdict {
 };
 StageMemoryVerdict CheckStageMemory(const CandidateBuild& build,
                                     const hw::ClusterTopology& topology,
-                                    const RebalancePlan& plan,
-                                    const std::vector<Bytes>& stage_peak_activation,
-                                    Bytes peak_activation);
+                                    const RebalancePlan& plan, const sim::SimResult& run);
 
 // Simulates one training iteration of `config` under `strategy` placed
 // on `topology` with global batch size `global_batch` (samples).

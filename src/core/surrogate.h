@@ -4,20 +4,18 @@
 // The planner's bottleneck is that every (PP, DP, CP/SPP, VP, recompute)
 // candidate is priced with a full discrete-event simulation, and the
 // goodput objective adds a Monte-Carlo checkpoint-interval solve on top.
-// The surrogate replaces the first phase of that with a tabular
-// critical-path pass over the candidate's schedule — the same list
-// semantics sched::BuildScheduleTable uses, but charged with the
-// candidate's real CostModel — plus closed-form Young/Daly goodput
+// The surrogate replaces the first phase of that with the engine's own
+// replay loop run with point-to-point transfers and nothing recorded
+// (sim::SimulatePointToPoint), plus closed-form Young/Daly goodput
 // pricing, so 10⁴–10⁵ candidates can be ranked in seconds and the exact
 // DES runs only on the top-k survivors.
 //
 // Pricing contract (also in DESIGN.md):
-//  - Exact: per-stage program order, same-stage waits, deferred
-//    weight-gradient fills (all three WgradModes), activation-budget
-//    drains, running activation/act-grad memory, the monolithic DP sync,
-//    and the overlapped per-bucket DP stream when the fabric is not
-//    shared. For transfer-free cost models the surrogate's makespan,
-//    peak memory, and bubble fraction equal the engine's bit for bit.
+//  - Exact by construction: program order, waits, W fills (all three
+//    WgradModes), budget drains, memory, the monolithic DP sync and the
+//    overlapped DP stream on an unshared fabric are the engine's code.
+//    For transfer-free cost models every SimResult field but the
+//    timeline equals the engine's bit for bit.
 //  - Approximate: cross-stage transfers are charged point-to-point
 //    (arrival = producer done + transfer time) without per-directed-link
 //    serialization, and the overlapped DP stream ignores fabric
@@ -49,32 +47,17 @@ struct TableOptions {
   // sim::EngineOptions::activation_budget.
   std::vector<Bytes> activation_budget;
   // Schedule the per-bucket DP sync stream against the finished table
-  // (fills the dp_* fields below); without it the caller prices the
-  // monolithic sync itself.
+  // (fills SimResult::dp); without it the caller prices the monolithic
+  // sync itself.
   bool dp_overlap = false;
 };
 
-// What the critical-path pass measures. Mirrors sim::SimResult's summary
-// fields, minus the timeline.
-struct TablePrice {
-  Seconds makespan = 0;
-  double bubble_ratio = 0;        // mean of per-stage 1 - busy/makespan
-  Bytes peak_activation = 0;      // max over stages
-  int budget_violations = 0;
-  std::vector<Seconds> stage_busy;
-  std::vector<Bytes> stage_peak_activation;
-  // Overlapped-DP accounting (zero unless TableOptions::dp_overlap).
-  Seconds dp_serialized = 0;
-  Seconds dp_hidden = 0;
-  Seconds dp_exposed = 0;
-};
-
-// Prices `schedule` against `costs` with the engine's list semantics but
-// dense arenas, no timeline, and the approximations documented above.
-// The schedule is assumed valid (generators validate; the DES re-checks
-// survivors).
-TablePrice PriceScheduleTable(const sched::Schedule& schedule, const sim::CostModel& costs,
-                              const TableOptions& options = {});
+// Prices `schedule` against `costs` with sim::SimulatePointToPoint, the
+// engine's replay with point-to-point transfers; the timeline stays
+// empty. The schedule is assumed valid (generators validate; the DES
+// re-checks survivors).
+sim::SimResult PriceScheduleTable(const sched::Schedule& schedule, const sim::CostModel& costs,
+                                  const TableOptions& options = {});
 
 // ---- Cost-model fingerprint + pricing cache -------------------------------
 

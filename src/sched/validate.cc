@@ -2,7 +2,7 @@
 
 #include <algorithm>
 #include <limits>
-#include <unordered_map>
+#include <vector>
 
 #include "common/check.h"
 #include "common/format.h"
@@ -116,22 +116,21 @@ bool BuildTable(const Schedule& schedule, const TableCosts& costs, ScheduleTable
   return true;
 }
 
+// The checks below run after CheckMultisets passed (every op an in-range
+// F, B or W listed once), so they index per-op state by OpSlots.
 // W-after-B in program order, per (micro, slice, chunk). Only meaningful
 // for static-W schedules; deferred W has no table rows.
 void CheckWAfterB(const Schedule& schedule, InvariantReport& report) {
+  const OpSlots slots(schedule.problem);
+  std::vector<bool> backward_seen(slots.count(), false);
   for (int stage = 0; stage < schedule.problem.stages; ++stage) {
-    std::unordered_map<OpId, std::size_t, OpIdHash> backward_index;
-    const auto& ops = schedule.stage_ops[static_cast<std::size_t>(stage)];
-    for (std::size_t i = 0; i < ops.size(); ++i) {
-      const OpId& op = ops[i];
+    for (const OpId& op : schedule.stage_ops[static_cast<std::size_t>(stage)]) {
       if (op.kind == OpKind::kBackward) {
-        backward_index.emplace(op, i);
-      } else if (op.kind == OpKind::kWeightGrad || op.kind == OpKind::kWeightGradGemm) {
+        backward_seen[slots(op)] = true;
+      } else if (op.kind == OpKind::kWeightGrad) {
         OpId b = op;
         b.kind = OpKind::kBackward;
-        b.gemm = -1;
-        auto it = backward_index.find(b);
-        if (it == backward_index.end()) {
+        if (!backward_seen[slots(b)]) {
           AddViolation(report, "w-after-b",
                        ToString(op) + " precedes its backward on stage " +
                            std::to_string(stage));
@@ -148,11 +147,12 @@ void CheckSliceOrder(const Schedule& schedule, InvariantReport& report) {
   if (slices == 1) {
     return;
   }
+  const OpSlots slots(schedule.problem);
+  std::vector<std::size_t> position(slots.count(), 0);
   for (int stage = 0; stage < schedule.problem.stages; ++stage) {
-    std::unordered_map<OpId, std::size_t, OpIdHash> seen;
     const auto& ops = schedule.stage_ops[static_cast<std::size_t>(stage)];
     for (std::size_t i = 0; i < ops.size(); ++i) {
-      seen.emplace(ops[i], i);
+      position[slots(ops[i])] = i;
     }
     for (const OpId& op : ops) {
       OpId prior = op;
@@ -163,8 +163,7 @@ void CheckSliceOrder(const Schedule& schedule, InvariantReport& report) {
       } else {
         continue;
       }
-      auto it = seen.find(prior);
-      if (it != seen.end() && it->second > seen.at(op)) {
+      if (position[slots(prior)] > position[slots(op)]) {
         AddViolation(report, "slice-kv",
                      ToString(op) + " precedes " + ToString(prior) + " on stage " +
                          std::to_string(stage));
@@ -178,21 +177,22 @@ void CheckSliceOrder(const Schedule& schedule, InvariantReport& report) {
 // builder bugs the same way a tabular validity query would.
 void CheckDependencyTiming(const Schedule& schedule, const TableCosts& costs,
                            const ScheduleTable& table, InvariantReport& report) {
-  std::unordered_map<OpId, const TableRow*, OpIdHash> by_op;
+  const OpSlots slots(schedule.problem);
+  std::vector<const TableRow*> by_slot(slots.count(), nullptr);
   for (const TableRow& row : table.rows) {
-    by_op.emplace(row.op, &row);
+    by_slot[slots(row.op)] = &row;
   }
   for (const TableRow& row : table.rows) {
     for (const Dep& dep : DependenciesOf(schedule.problem, row.op)) {
-      auto it = by_op.find(dep.op);
-      if (it == by_op.end()) {
+      const TableRow* producer = by_slot[slots(dep.op)];
+      if (producer == nullptr) {
         if (!schedule.deferred_wgrad || dep.op.kind != OpKind::kWeightGrad) {
           AddViolation(report, "chunk-chain",
                        ToString(row.op) + " depends on missing " + ToString(dep.op));
         }
         continue;
       }
-      const double gate = it->second->end + (dep.cross_stage ? costs.transfer_time : 0.0);
+      const double gate = producer->end + (dep.cross_stage ? costs.transfer_time : 0.0);
       if (row.start + kEps < gate) {
         AddViolation(report, "chunk-chain",
                      StrFormat("%s starts %.6f before its dependency %s allows %.6f",

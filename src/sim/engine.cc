@@ -31,12 +31,17 @@ struct WgradItem {
   int gemm_count = 1;    // 1 when executed as a whole-W task
 };
 
-struct MemEvent {
-  Seconds time = 0;
-  Bytes delta = 0;
-};
+// How a cross-stage transfer is priced, the one place the two replays
+// differ: serialized per directed stage link, fault-aware, with spans and
+// memory series recorded on request (Simulate); or producer done +
+// TransferTime, with no link state, faults or recording
+// (SimulatePointToPoint).
+enum class Transfers { kSerializedLink, kPointToPoint };
 
+template <Transfers kTransfers>
 class Engine {
+  static constexpr bool kLinks = kTransfers == Transfers::kSerializedLink;
+
  public:
   Engine(const sched::Schedule& schedule, const CostModel& costs, const EngineOptions& options)
       : schedule_(schedule),
@@ -45,24 +50,7 @@ class Engine {
         options_(options),
         slots_(problem_),
         done_(slots_.count(), kNotDone),
-        transfer_arrival_(slots_.count(), kNotDone),
-        link_free_(static_cast<std::size_t>(problem_.stages) *
-                       static_cast<std::size_t>(problem_.stages),
-                   0.0),
-        cursor_(static_cast<std::size_t>(problem_.stages), 0),
-        clock_(static_cast<std::size_t>(problem_.stages), 0.0),
-        wqueue_(static_cast<std::size_t>(problem_.stages)),
-        mem_events_(static_cast<std::size_t>(problem_.stages)),
-        current_bytes_(static_cast<std::size_t>(problem_.stages), 0),
-        busy_(static_cast<std::size_t>(problem_.stages), 0.0),
-        first_start_(static_cast<std::size_t>(problem_.stages),
-                     std::numeric_limits<Seconds>::infinity()),
-        last_end_(static_cast<std::size_t>(problem_.stages), 0.0),
-        overflow_count_(static_cast<std::size_t>(problem_.stages), 0),
-        overflow_bytes_(static_cast<std::size_t>(problem_.stages), 0),
-        fabric_busy_(options_.dp_overlap && options_.dp_link_shared
-                         ? static_cast<std::size_t>(problem_.stages)
-                         : 0) {
+        lanes_(static_cast<std::size_t>(problem_.stages)) {
     if (!options_.activation_budget.empty()) {
       MEPIPE_CHECK_EQ(options_.activation_budget.size(),
                       static_cast<std::size_t>(problem_.stages))
@@ -71,29 +59,60 @@ class Engine {
         MEPIPE_CHECK_GE(budget, 0) << "negative activation budget";
       }
     }
-    if (options_.fault_plan) {
-      faulty_.emplace(costs, options_.fault_plan, problem_.stages);
+    if constexpr (kLinks) {
+      transfer_arrival_.assign(slots_.count(), kNotDone);
+      link_free_.assign(static_cast<std::size_t>(problem_.stages) *
+                            static_cast<std::size_t>(problem_.stages),
+                        0.0);
+      if (options_.dp_overlap && options_.dp_link_shared) {
+        fabric_busy_.resize(static_cast<std::size_t>(problem_.stages));
+      }
+      if (options_.fault_plan) {
+        faulty_.emplace(costs, options_.fault_plan, problem_.stages);
+      }
+    } else {
+      MEPIPE_CHECK(!options_.fault_plan) << "point-to-point replay takes no fault plan";
+      MEPIPE_CHECK(!options_.dp_link_shared)
+          << "point-to-point replay does not model a shared DP fabric";
+      MEPIPE_CHECK(!options_.record_timeline) << "point-to-point replay records no timeline";
+      MEPIPE_CHECK(!options_.record_memory_timeline)
+          << "point-to-point replay records no memory series";
     }
   }
 
   SimResult Run();
 
  private:
+  // One stage's replay state. Its clock only moves forward and ends at
+  // the stage's last compute end.
+  struct Lane {
+    std::size_t cursor = 0;        // next op of its program order
+    Seconds clock = 0;             // when its compute stream is next free
+    std::deque<WgradItem> wqueue;  // deferred W work in B-completion order
+    Bytes current_bytes = 0;       // resident activations + act-grads
+    Bytes peak_bytes = 0;
+    std::vector<MemoryPoint> memory;  // only under record_memory_timeline
+    Seconds busy = 0;
+    Seconds first_start = std::numeric_limits<Seconds>::infinity();
+    int overflow_count = 0;
+    Bytes overflow_bytes = 0;
+  };
+
+  Lane& LaneOf(int stage) { return lanes_[static_cast<std::size_t>(stage)]; }
   Seconds DoneTime(const OpId& op) const { return done_[slots_(op)]; }
-  bool IsDone(const OpId& op) const { return done_[slots_(op)] != kNotDone; }
   void SetDone(const OpId& op, Seconds time) { done_[slots_(op)] = time; }
 
   // Arrival time of `producer`'s output at the consuming stage, applying
-  // per-directed-link serialization. Memoized (each producer feeds one
-  // consumer). Under a shared DP fabric the transfer also claims both
-  // endpoints' fabric for its duration (RunDpSync sorts and merges).
+  // per-directed-link serialization (kSerializedLink only). Memoized (each
+  // producer feeds one consumer). Under a shared DP fabric the transfer
+  // also claims both endpoints' fabric for its duration (RunDpSync sorts
+  // and merges).
   Seconds TransferArrival(const OpId& producer) {
     Seconds& memo = transfer_arrival_[slots_(producer)];
     if (memo != kNotDone) {
       return memo;
     }
     const Seconds done = DoneTime(producer);
-    MEPIPE_CHECK(done != kNotDone);
     const int from = problem_.stage_of_chunk(producer.chunk);
     const int to = producer.kind == OpKind::kForward
                        ? problem_.stage_of_chunk(producer.chunk + 1)
@@ -123,15 +142,15 @@ class Engine {
     return arrival;
   }
 
+  // Earliest start of `op` once DepsDone(op) holds.
   Seconds ReadyTime(const OpId& op) {
     Seconds ready = 0.0;
     sched::ForEachDependency(problem_, op, [&](const Dep& dep) {
-      if (dep.cross_stage) {
-        ready = std::max(ready, TransferArrival(dep.op));
+      if constexpr (kLinks) {
+        ready = std::max(ready, dep.cross_stage ? TransferArrival(dep.op) : DoneTime(dep.op));
       } else {
         const Seconds done = DoneTime(dep.op);
-        MEPIPE_CHECK(done != kNotDone);
-        ready = std::max(ready, done);
+        ready = std::max(ready, dep.cross_stage ? done + costs_.TransferTime(dep.op) : done);
       }
     });
     return ready;
@@ -140,19 +159,30 @@ class Engine {
   bool DepsDone(const OpId& op) const {
     bool all = true;
     sched::ForEachDependency(problem_, op, [&](const Dep& dep) {
-      all = all && IsDone(dep.op);
+      all = all && DoneTime(dep.op) != kNotDone;
     });
     return all;
   }
 
   // Fault-aware pricing: where a compute op started at `start` finishes.
   Seconds ComputeEnd(int stage, const OpId& op, Seconds start) const {
-    return faulty_ ? faulty_->ComputeEndAt(stage, op, start)
-                   : start + costs_.ComputeTime(op);
+    if constexpr (kLinks) {
+      if (faulty_) {
+        return faulty_->ComputeEndAt(stage, op, start);
+      }
+    }
+    return start + costs_.ComputeTime(op);
   }
 
   // First instant >= t the stage may start work (skips fail-stop downtime).
-  Seconds StartAt(Seconds t) const { return faulty_ ? faulty_->NextUpTime(t) : t; }
+  Seconds StartAt(Seconds t) const {
+    if constexpr (kLinks) {
+      if (faulty_) {
+        return faulty_->NextUpTime(t);
+      }
+    }
+    return t;
+  }
 
   // Per-GEMM split of deferred W `w` (1 unless kFillGemms). Each W is
   // queried once: up front when a recorded run sizes its timeline,
@@ -199,19 +229,31 @@ class Engine {
   }
 
   void RecordCompute(int stage, const OpId& op, Seconds start, Seconds end) {
-    if (options_.record_timeline) {
-      timeline_.push_back({stage, op, start, end, /*is_transfer=*/false});
+    if constexpr (kLinks) {
+      if (options_.record_timeline) {
+        timeline_.push_back({stage, op, start, end, /*is_transfer=*/false});
+      }
     }
-    busy_[static_cast<std::size_t>(stage)] += end - start;
-    first_start_[static_cast<std::size_t>(stage)] =
-        std::min(first_start_[static_cast<std::size_t>(stage)], start);
-    last_end_[static_cast<std::size_t>(stage)] =
-        std::max(last_end_[static_cast<std::size_t>(stage)], end);
+    Lane& lane = LaneOf(stage);
+    lane.busy += end - start;
+    lane.first_start = std::min(lane.first_start, start);
   }
 
+  // Applies a resident-byte change at `time`. A stage's clock never runs
+  // backwards, so its changes arrive in time order: the running peak is
+  // the peak of the series, and equal timestamps merge into one point.
   void AddMem(int stage, Seconds time, Bytes delta) {
-    mem_events_[static_cast<std::size_t>(stage)].push_back({time, delta});
-    current_bytes_[static_cast<std::size_t>(stage)] += delta;
+    Lane& lane = LaneOf(stage);
+    lane.current_bytes += delta;
+    lane.peak_bytes = std::max(lane.peak_bytes, lane.current_bytes);
+    if (kLinks && options_.record_memory_timeline) {
+      auto& series = lane.memory;
+      if (!series.empty() && series.back().time == time) {
+        series.back().bytes = lane.current_bytes;
+      } else {
+        series.push_back({time, lane.current_bytes});
+      }
+    }
   }
 
   // Releases the activation (and act-grad) footprint of (micro, slice,
@@ -231,8 +273,8 @@ class Engine {
     if (options_.wgrad_mode == WgradMode::kImmediate) {
       return;
     }
-    auto& queue = wqueue_[static_cast<std::size_t>(stage)];
-    double& clock = clock_[static_cast<std::size_t>(stage)];
+    auto& queue = LaneOf(stage).wqueue;
+    Seconds& clock = LaneOf(stage).clock;
     while (!queue.empty()) {
       WgradItem& item = queue.front();
       if (item.available > clock + kEps) {
@@ -240,7 +282,7 @@ class Engine {
       }
       const OpId gemm_op{OpKind::kWeightGradGemm, item.op.micro, item.op.slice, item.op.chunk,
                          item.next_gemm, item.op.job};
-      const OpId exec_op = item.gemm_count > 1 ? gemm_op : item.op;
+      const OpId& exec_op = item.gemm_count > 1 ? gemm_op : item.op;
       const Seconds start = StartAt(clock);
       const Seconds end = ComputeEnd(stage, exec_op, start);
       if (end > until + kEps) {
@@ -269,21 +311,19 @@ class Engine {
     if (budget <= 0) {
       return;  // 0 = this stage is unbudgeted
     }
-    auto& queue = wqueue_[static_cast<std::size_t>(stage)];
-    while (!queue.empty() &&
-           current_bytes_[static_cast<std::size_t>(stage)] + incoming > budget) {
-      DrainWgradItem(stage, queue.front());
-      queue.pop_front();
+    Lane& lane = LaneOf(stage);
+    while (!lane.wqueue.empty() && lane.current_bytes + incoming > budget) {
+      DrainWgradItem(stage, lane.wqueue.front());
+      lane.wqueue.pop_front();
     }
-    const Bytes resident = current_bytes_[static_cast<std::size_t>(stage)] + incoming;
+    const Bytes resident = lane.current_bytes + incoming;
     if (resident > budget) {
       const Bytes overflow = resident - budget;
       MEPIPE_CHECK(!options_.strict_activation_budget)
           << "stage " << stage << " exceeds its activation budget by " << overflow
           << " bytes with no deferred W work left to drain";
-      ++overflow_count_[static_cast<std::size_t>(stage)];
-      overflow_bytes_[static_cast<std::size_t>(stage)] =
-          std::max(overflow_bytes_[static_cast<std::size_t>(stage)], overflow);
+      ++lane.overflow_count;
+      lane.overflow_bytes = std::max(lane.overflow_bytes, overflow);
     }
   }
 
@@ -361,12 +401,14 @@ class Engine {
       for (const auto& [ready, bucket] : buckets) {
         const Seconds start = std::max(stream, ready);
         const Seconds end =
-            options_.dp_link_shared
+            kLinks && options_.dp_link_shared
                 ? advance(fabric_busy_[static_cast<std::size_t>(stage)], start,
                           costs_.DpSyncTime(bucket))
                 : start + costs_.DpSyncTime(bucket);
-        if (options_.record_timeline) {
-          timeline_.push_back({stage, bucket, start, end, /*is_transfer=*/true});
+        if constexpr (kLinks) {
+          if (options_.record_timeline) {
+            timeline_.push_back({stage, bucket, start, end, /*is_transfer=*/true});
+          }
         }
         dp_busy[static_cast<std::size_t>(stage)] += end - start;
         stream = end;
@@ -381,23 +423,17 @@ class Engine {
 
   // Runs a W item (whole or remaining GEMMs) to completion immediately.
   void DrainWgradItem(int stage, WgradItem& item) {
-    double& clock = clock_[static_cast<std::size_t>(stage)];
+    Seconds& clock = LaneOf(stage).clock;
     clock = std::max(clock, item.available);
-    if (item.gemm_count <= 1) {
+    do {
+      const OpId gemm_op{OpKind::kWeightGradGemm, item.op.micro, item.op.slice, item.op.chunk,
+                         item.next_gemm, item.op.job};
+      const OpId& exec_op = item.gemm_count > 1 ? gemm_op : item.op;
       const Seconds start = StartAt(clock);
-      const Seconds end = ComputeEnd(stage, item.op, start);
-      RecordCompute(stage, item.op, start, end);
+      const Seconds end = ComputeEnd(stage, exec_op, start);
+      RecordCompute(stage, exec_op, start, end);
       clock = end;
-    } else {
-      for (; item.next_gemm < item.gemm_count; ++item.next_gemm) {
-        const OpId gemm_op{OpKind::kWeightGradGemm, item.op.micro, item.op.slice, item.op.chunk,
-                           item.next_gemm, item.op.job};
-        const Seconds start = StartAt(clock);
-        const Seconds end = ComputeEnd(stage, gemm_op, start);
-        RecordCompute(stage, gemm_op, start, end);
-        clock = end;
-      }
-    }
+    } while (++item.next_gemm < item.gemm_count);
     SetDone(item.op, clock);
     ReleaseSlice(stage, item.op, clock, /*release_act_grad=*/true);
   }
@@ -405,7 +441,7 @@ class Engine {
   const sched::Schedule& schedule_;
   const sched::PipelineProblem& problem_;
   const CostModel& costs_;
-  EngineOptions options_;
+  const EngineOptions& options_;
 
   // Event arenas: completion times and memoized transfer arrivals live
   // in dense per-op vectors over sched::OpSlots (kNotDone sentinel)
@@ -414,45 +450,37 @@ class Engine {
   // does index arithmetic only.
   const sched::OpSlots slots_;
   std::vector<Seconds> done_;
+  std::vector<Lane> lanes_;
+  // kSerializedLink only: transfer memo, link matrix, spans, fabric-busy
+  // intervals (one entry per stage only under dp_overlap &&
+  // dp_link_shared) and the fault-aware cost model.
   std::vector<Seconds> transfer_arrival_;
   std::vector<double> link_free_;
-  std::vector<std::size_t> cursor_;
-  std::vector<double> clock_;
-  std::vector<std::deque<WgradItem>> wqueue_;
-  std::vector<std::vector<MemEvent>> mem_events_;
-  std::vector<Bytes> current_bytes_;
-  std::vector<Seconds> busy_;
-  std::vector<Seconds> first_start_;
-  std::vector<Seconds> last_end_;
-  std::vector<int> overflow_count_;
-  std::vector<Bytes> overflow_bytes_;
   std::vector<OpSpan> timeline_;
-  // Per-stage fabric-busy intervals; one entry per stage only under
-  // dp_overlap && dp_link_shared.
   std::vector<std::vector<std::pair<Seconds, Seconds>>> fabric_busy_;
   // Deferred-W GEMM counts by slot; filled only by RecordedSpanCount.
   std::vector<int> gemm_counts_;
   std::optional<FaultyCostModel> faulty_;
 };
 
-SimResult Engine::Run() {
+template <Transfers kTransfers>
+SimResult Engine<kTransfers>::Run() {
   std::size_t remaining = 0;
   for (const auto& ops : schedule_.stage_ops) {
     remaining += ops.size();
   }
-  if (options_.record_timeline) {
-    timeline_.reserve(RecordedSpanCount());
-  }
-  for (auto& events : mem_events_) {
-    events.reserve(2 * remaining / std::max(1, problem_.stages));
+  if constexpr (kLinks) {
+    if (options_.record_timeline) {
+      timeline_.reserve(RecordedSpanCount());
+    }
   }
 
   while (remaining > 0) {
     bool progress = false;
     for (int stage = 0; stage < problem_.stages; ++stage) {
-      auto& cursor = cursor_[static_cast<std::size_t>(stage)];
+      auto& cursor = LaneOf(stage).cursor;
       const auto& ops = schedule_.stage_ops[static_cast<std::size_t>(stage)];
-      double& clock = clock_[static_cast<std::size_t>(stage)];
+      Seconds& clock = LaneOf(stage).clock;
       while (cursor < ops.size()) {
         const OpId& op = ops[cursor];
         if (!DepsDone(op)) {
@@ -488,7 +516,7 @@ SimResult Engine::Run() {
                 if (options_.wgrad_mode == WgradMode::kImmediate) {
                   DrainWgradItem(stage, item);
                 } else {
-                  wqueue_[static_cast<std::size_t>(stage)].push_back(item);
+                  LaneOf(stage).wqueue.push_back(item);
                 }
               }
             }
@@ -498,10 +526,8 @@ SimResult Engine::Run() {
             ReleaseSlice(stage, op, end, /*release_act_grad=*/true);
             break;
           case OpKind::kWeightGradGemm:
-            MEPIPE_CHECK(false) << "per-GEMM ops cannot appear in static orders";
-            break;
           case OpKind::kDpSync:
-            MEPIPE_CHECK(false) << "DP-sync ops run on comm streams, never in static orders";
+            MEPIPE_CHECK(false) << "per-GEMM and DP-sync ops never appear in static orders";
             break;
         }
         ++cursor;
@@ -515,7 +541,7 @@ SimResult Engine::Run() {
 
   // Drain any weight-gradient work still queued (zero-bubble tail).
   for (int stage = 0; stage < problem_.stages; ++stage) {
-    auto& queue = wqueue_[static_cast<std::size_t>(stage)];
+    auto& queue = LaneOf(stage).wqueue;
     while (!queue.empty()) {
       DrainWgradItem(stage, queue.front());
       queue.pop_front();
@@ -523,8 +549,8 @@ SimResult Engine::Run() {
   }
 
   SimResult result;
-  for (const Seconds end : last_end_) {
-    result.makespan = std::max(result.makespan, end);
+  for (const Lane& lane : lanes_) {
+    result.makespan = std::max(result.makespan, lane.clock);
   }
 
   // Overlapped data-parallel gradient sync: a post-pass over the now
@@ -541,11 +567,12 @@ SimResult Engine::Run() {
   double bubble_sum = 0;
   for (int stage = 0; stage < problem_.stages; ++stage) {
     StageMetrics& metrics = result.stages[static_cast<std::size_t>(stage)];
-    metrics.busy = busy_[static_cast<std::size_t>(stage)];
+    Lane& lane = LaneOf(stage);
+    metrics.busy = lane.busy;
     metrics.bubble_ratio =
         result.makespan > 0 ? 1.0 - metrics.busy / result.makespan : 0.0;
-    const Seconds first = first_start_[static_cast<std::size_t>(stage)];
-    const Seconds last = last_end_[static_cast<std::size_t>(stage)];
+    const Seconds first = lane.first_start;
+    const Seconds last = lane.clock;
     if (first <= last) {  // the stage ran at least one compute op
       metrics.warmup_idle = first;
       metrics.steady_idle = std::max(0.0, (last - first) - metrics.busy);
@@ -553,42 +580,28 @@ SimResult Engine::Run() {
     } else {
       metrics.warmup_idle = result.makespan;  // never ran: all warmup
     }
-    metrics.budget_violations = overflow_count_[static_cast<std::size_t>(stage)];
-    metrics.budget_overflow_bytes = overflow_bytes_[static_cast<std::size_t>(stage)];
+    metrics.budget_violations = lane.overflow_count;
+    metrics.budget_overflow_bytes = lane.overflow_bytes;
     metrics.dp_sync = dp_busy[static_cast<std::size_t>(stage)];
+    metrics.peak_activation = lane.peak_bytes;
     result.budget_violations += metrics.budget_violations;
     bubble_sum += metrics.bubble_ratio;
-
-    auto& events = mem_events_[static_cast<std::size_t>(stage)];
-    std::stable_sort(events.begin(), events.end(),
-                     [](const MemEvent& a, const MemEvent& b) { return a.time < b.time; });
-    if (options_.record_memory_timeline && result.memory_timeline.empty()) {
-      result.memory_timeline.resize(static_cast<std::size_t>(problem_.stages));
-    }
-    Bytes current = 0;
-    for (const MemEvent& event : events) {
-      current += event.delta;
-      metrics.peak_activation = std::max(metrics.peak_activation, current);
-      if (options_.record_memory_timeline) {
-        auto& series = result.memory_timeline[static_cast<std::size_t>(stage)];
-        if (!series.empty() && series.back().time == event.time) {
-          series.back().bytes = current;  // coalesce simultaneous deltas
-        } else {
-          series.push_back({event.time, current});
-        }
-      }
-    }
     result.peak_activation = std::max(result.peak_activation, metrics.peak_activation);
+    if (options_.record_memory_timeline) {
+      result.memory_timeline.push_back(std::move(lane.memory));
+    }
   }
   result.bubble_ratio = problem_.stages > 0 ? bubble_sum / problem_.stages : 0.0;
-  if (faulty_) {
-    result.fault_spans = faulty_->Spans();
+  if constexpr (kLinks) {
+    if (faulty_) {
+      result.fault_spans = faulty_->Spans();
+    }
+    result.timeline = std::move(timeline_);
+    std::sort(result.timeline.begin(), result.timeline.end(),
+              [](const OpSpan& a, const OpSpan& b) {
+                return a.start < b.start || (a.start == b.start && a.stage < b.stage);
+              });
   }
-  result.timeline = std::move(timeline_);
-  std::sort(result.timeline.begin(), result.timeline.end(),
-            [](const OpSpan& a, const OpSpan& b) {
-              return a.start < b.start || (a.start == b.start && a.stage < b.stage);
-            });
   return result;
 }
 
@@ -597,12 +610,17 @@ SimResult Engine::Run() {
 SimResult Simulate(const sched::Schedule& schedule, const CostModel& costs,
                    const EngineOptions& options) {
   sched::ValidateSchedule(schedule);
-  return Engine(schedule, costs, options).Run();
+  return Engine<Transfers::kSerializedLink>(schedule, costs, options).Run();
 }
 
 SimResult Simulate(const sched::ValidatedSchedule& schedule, const CostModel& costs,
                    const EngineOptions& options) {
-  return Engine(*schedule, costs, options).Run();
+  return Engine<Transfers::kSerializedLink>(*schedule, costs, options).Run();
+}
+
+SimResult SimulatePointToPoint(const sched::Schedule& schedule, const CostModel& costs,
+                               const EngineOptions& options) {
+  return Engine<Transfers::kPointToPoint>(schedule, costs, options).Run();
 }
 
 }  // namespace mepipe::sim

@@ -1,12 +1,17 @@
-// The discrete-event execution engine.
+// The discrete-event execution engine: one list-replay kernel.
 //
 // Executes a static Schedule against a CostModel: every stage runs its
 // program order, waiting on same-stage completions and cross-stage
-// transfers (serialized per directed stage-pair link). Deferred
-// weight-gradient work is slotted into the waits — the runtime half of
-// the paper's fine-grained weight-gradient technique (§5). The engine
-// tracks activation (+ activation-gradient) memory so that peak
-// consumption and bubbles are *measured*, not asserted.
+// transfers. Deferred weight-gradient work is slotted into the waits —
+// the runtime half of the paper's fine-grained weight-gradient technique
+// (§5). The engine tracks activation (+ activation-gradient) memory so
+// that peak consumption and bubbles are *measured*, not asserted.
+//
+// One replay loop serves two transfer models. Simulate serializes
+// transfers per directed stage-pair link and adds what only a measured run
+// needs: faults, spans, the memory series and the shared DP fabric.
+// SimulatePointToPoint (core::PriceScheduleTable) charges producer done +
+// transfer time; for transfer-free costs the two agree bit for bit.
 #ifndef MEPIPE_SIM_ENGINE_H_
 #define MEPIPE_SIM_ENGINE_H_
 
@@ -158,6 +163,12 @@ SimResult Simulate(const sched::Schedule& schedule, const CostModel& costs,
 // (sched::ValidatedSchedule): the engine skips its own check.
 SimResult Simulate(const sched::ValidatedSchedule& schedule, const CostModel& costs,
                    const EngineOptions& options = {});
+
+// The same replay with transfers charged point to point, on a schedule
+// assumed valid. A fault plan, dp_link_shared, record_timeline (on by
+// default, so clear it) or record_memory_timeline throws CheckError.
+SimResult SimulatePointToPoint(const sched::Schedule& schedule, const CostModel& costs,
+                               const EngineOptions& options);
 
 }  // namespace mepipe::sim
 
