@@ -71,6 +71,30 @@ TEST(EngineErrors, HandBuiltAndCorruptedSchedulesAreStillValidated) {
   EXPECT_EQ(handle->job, 0);
 }
 
+TEST(EngineErrors, PointToPointReplayRejectsWhatItDoesNotModel) {
+  // The point-to-point instance has no faults, link state or recording;
+  // options asking for them throw instead of being ignored.
+  const sched::Schedule schedule = sched::OneFOneBSchedule(2, 2);
+  const UniformCostModel costs(1.0, 2.0, 0.0, 0.1);
+  EngineOptions clean;
+  clean.record_timeline = false;
+  EXPECT_NO_THROW(SimulatePointToPoint(schedule, costs, clean));
+  EngineOptions timeline;  // record_timeline defaults to true
+  EXPECT_THROW(SimulatePointToPoint(schedule, costs, timeline), CheckError);
+  EngineOptions memory = clean;
+  memory.record_memory_timeline = true;
+  EXPECT_THROW(SimulatePointToPoint(schedule, costs, memory), CheckError);
+  EngineOptions shared = clean;
+  shared.dp_overlap = true;
+  shared.dp_link_shared = true;
+  EXPECT_THROW(SimulatePointToPoint(schedule, costs, shared), CheckError);
+  EngineOptions faulted = clean;
+  FaultPlan plan;
+  plan.stragglers.push_back({0, 0.0, 1.0, 2.0});
+  faulted.fault_plan = plan;
+  EXPECT_THROW(SimulatePointToPoint(schedule, costs, faulted), CheckError);
+}
+
 TEST(EngineErrors, NegativeBudgetThrows) {
   const auto schedule = sched::OneFOneBSchedule(2, 2);
   const UniformCostModel costs(1.0, 2.0, 0.0, 0.0, /*act_bytes=*/10);
